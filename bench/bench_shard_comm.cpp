@@ -1,6 +1,6 @@
 // E15 — Sharded execution bench (google-benchmark): cross-rank message
-// batching throughput of the rank driver (sim/rank.hpp, sim/shard_comm.hpp,
-// scenario/rank_run.hpp).
+// batching throughput of sharded Engine runs (sim/rank.hpp,
+// sim/shard_comm.hpp, scenario/rank_run.hpp).
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each
 // owning one contiguous node window of the topology, and step the scenario

@@ -68,7 +68,7 @@ void run_rank(const Scenario& s, NodeId nominal, std::uint64_t seed,
               "fault-recovery scenarios (two-phase epoch rebuild) do not "
               "run sharded");
 
-  sim::RankEngine eng(
+  sim::Engine eng(
       g, sim::RankSpec{rank, ranks, lo, hi},
       s.make_load_factory ? s.make_load_factory(g, offered)
                           : s.make_factory(g),

@@ -5,7 +5,8 @@
 // run(s, n, seed): it forks K ranks, each builds ONLY its node window of
 // the topology (build_topology_window — same generator stream, global edge
 // ids and the full weight permutation, so windowed CSR rows are
-// bit-identical to the full build's), steps a RankEngine to completion, and
+// bit-identical to the full build's), steps the window with sim::Engine
+// (built with a RankSpec and the rank's Transport) to completion, and
 // rank 0 assembles the identical RunResult — digest, metrics, and fault
 // stats all bit-equal to the serial run's.  The digest is chained: rank r
 // folds its own window [lo, hi) starting from rank r-1's partial

@@ -27,7 +27,7 @@ AsyncEngine::AsyncEngine(const Graph& g, const AsyncProcessFactory& factory,
     MMN_REQUIRE(processes_.back() != nullptr, "factory returned null process");
     finished_flag_.push_back(processes_.back()->finished() ? 1 : 0);
   }
-  outstanding_ = initial_outstanding(finished_flag_, core_.scheduler().shards());
+  core_.init_outstanding(finished_flag_);
 }
 
 AsyncEngine::~AsyncEngine() = default;
@@ -56,7 +56,7 @@ void AsyncEngine::note_finished(unsigned shard, NodeId v) {
   const char done = processes_[v]->finished() ? 1 : 0;
   if (done != finished_flag_[v]) {
     finished_flag_[v] = done;
-    outstanding_[shard].count += done ? -1 : 1;
+    core_.outstanding(shard).count += done ? -1 : 1;
   }
 }
 
@@ -187,7 +187,7 @@ bool AsyncEngine::step(std::uint64_t slots) {
     ++core_.metrics().rounds;
     ++slot_index_;
     run_slot_fanout(obs);
-    if (all_finished() && core_.slot_buckets().in_flight() == 0 &&
+    if (core_.all_finished() && core_.slot_buckets().in_flight() == 0 &&
         core_.channel_idle()) {
       status_ = RunStatus::kCompleted;
     }

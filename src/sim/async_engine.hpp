@@ -278,7 +278,6 @@ class AsyncEngine {
   NodeId num_nodes() const { return core_.num_nodes(); }
 
  private:
-  bool all_finished() const { return none_outstanding(outstanding_); }
   void start_processes();
   void start_node(unsigned shard, NodeId v);
   void run_delivery_phase();
@@ -292,7 +291,6 @@ class AsyncEngine {
   std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   std::vector<std::uint64_t> last_write_slot_;  // per-node write dedup
   std::vector<char> finished_flag_;  // per node; char: shard-safe writes
-  std::vector<ShardOutstanding> outstanding_;  // batched finished() probe
   std::uint64_t slot_index_ = 0;
   std::uint32_t max_delay_ticks_;
   bool started_ = false;

@@ -17,8 +17,14 @@
 // (sim/scheduler.hpp).  Termination is detected incrementally and batched
 // per shard: each shard keeps an outstanding (not-yet-finished) counter on
 // its own cache line, a node's finished() probe only touches that counter
-// on a transition, and the engine sums the handful of shard counters after
+// on a transition, and the core sums the handful of shard counters after
 // the barrier — no per-node delta staging, no O(n) scan.
+//
+// The same Engine runs one rank of a sharded multi-process run: built with a
+// RankSpec and a Transport it steps only its node window, and RuntimeCore
+// swaps the cross-window effects with the other ranks once per round
+// (sim/rank.hpp, sim/shard_comm.hpp).  Threads inside a rank come from the
+// same optional Scheduler.
 //
 // The per-node hot path is devirtualized end to end: the scheduler reaches
 // node_round through a raw function pointer, and NodeContext is a concrete
@@ -41,6 +47,7 @@ namespace mmn::sim {
 
 class FaultPlan;
 class FaultRuntime;
+struct RankSpec;
 
 class Engine {
  public:
@@ -52,10 +59,18 @@ class Engine {
   /// pass make_discipline(kind) to run the workload under TDMA, Capetanakis
   /// tree scheduling, or the unslotted busy-tone emulation
   /// (sim/channel_discipline.hpp).
-  Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed);
   Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed,
-         std::unique_ptr<Scheduler> scheduler,
+         std::unique_ptr<Scheduler> scheduler = nullptr,
          std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+  /// One rank of a sharded run (sim/rank.hpp).  `g` must be a windowed (or
+  /// full) build whose owned rows cover [spec.lo, spec.hi), and `factory`
+  /// sees owned views only.  The discipline must be built identically on
+  /// every rank (same kind, same seed); `transport` must outlive the engine.
+  /// With spec.ranks == 1 this is the single-process engine.
+  Engine(const Graph& g, const RankSpec& spec, const ProcessFactory& factory,
+         std::uint64_t seed, shard_comm::Transport& transport,
+         std::unique_ptr<ChannelDiscipline> discipline,
+         std::unique_ptr<Scheduler> scheduler = nullptr);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -69,7 +84,9 @@ class Engine {
   Metrics run(std::uint64_t max_rounds);
 
   /// Runs at most `rounds` additional rounds; returns true if all finished
-  /// and the channel is idle.
+  /// and the channel is idle.  On a sharded run every rank must call with
+  /// the same budget: they swap every round and decide termination on
+  /// identical global state.
   bool step(std::uint64_t rounds);
 
   /// Outcome of the last run()/step() call (kRunning after a step() that
@@ -86,34 +103,45 @@ class Engine {
   const FaultRuntime* faults() const { return faults_.get(); }
   FaultRuntime* faults() { return faults_.get(); }
 
+  /// The run's metrics.  On a sharded run the slot and round counters are
+  /// replicas of the serial run's, while p2p_messages counts only sends by
+  /// owned nodes (sum over ranks to compare with a serial run).
   const Metrics& metrics() const { return core_.metrics(); }
 
   /// Per-class delay/backlog accounting of open-loop workloads
   /// (sim/traffic.hpp); untouched by closed-loop protocols.
   const LatencyRecorder& latency() const { return core_.latency(); }
 
-  /// Direct access to a node's process (for reading results and tests).
-  /// Mutating a process so that finished() changes outside of round() breaks
-  /// the engine's incrementally maintained finished count — finished() must
-  /// only change inside round() calls.
+  /// Direct access to a node's process by global id (owned nodes only on
+  /// a sharded run; for reading results and tests).  Mutating a process so
+  /// that finished() changes outside of round() breaks the engine's
+  /// incrementally maintained finished count — finished() must only change
+  /// inside round() calls.
   Process& process(NodeId v);
   const Process& process(NodeId v) const;
+  /// Nodes this engine steps (all n on a single rank).
   NodeId num_nodes() const { return core_.num_nodes(); }
 
+  /// Cross-shard messages this rank sent to peers (headers on the wire).
+  std::uint64_t xshard_msgs() const { return core_.xshard_msgs(); }
+  /// Edges with exactly one endpoint in this rank's window —
+  /// bench_shard_comm's bytes denominator.  Both are 0 on a single rank.
+  std::uint64_t boundary_edges() const { return core_.boundary_edges(); }
+
  private:
-  bool all_finished() const;
+  Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed,
+         std::unique_ptr<Scheduler> scheduler,
+         std::unique_ptr<ChannelDiscipline> discipline,
+         shard_comm::Transport* transport);
+
   void node_round(unsigned shard, NodeId v);
   void run_one_round();
 
   RuntimeCore core_;
-  std::vector<std::unique_ptr<Process>> processes_;
+  std::vector<std::unique_ptr<Process>> processes_;  ///< local index
   std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   RunStatus status_ = RunStatus::kRunning;
   std::vector<char> finished_flag_;  // per node; char: shard-safe writes
-  /// Per-shard count of unfinished nodes in the shard's static node range.
-  /// Written only by the shard's own worker (cache-line aligned), summed by
-  /// the driver after the barrier — the batched finished() probe.
-  std::vector<ShardOutstanding> outstanding_;
 };
 
 /// Convenience: builds the engine, runs to completion, returns metrics.

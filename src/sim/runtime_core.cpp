@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "sim/fault.hpp"
+#include "sim/shard_comm.hpp"
 #include "support/check.hpp"
 #include "support/simd.hpp"
 
@@ -16,19 +17,6 @@ static_assert(offsetof(MsgHeader, to) == 0 && sizeof(MsgHeader) == 16,
               "flip's histogram reads `to` at offset 0, stride 16");
 static_assert(offsetof(StampedHeader, to) == 16 && sizeof(StampedHeader) == 32,
               "stage's histogram reads `to` at offset 16, stride 32");
-
-std::vector<ShardOutstanding> initial_outstanding(
-    const std::vector<char>& flags, unsigned shards) {
-  std::vector<ShardOutstanding> counts(shards);
-  const auto n = static_cast<NodeId>(flags.size());
-  for (unsigned s = 0; s < shards; ++s) {
-    const auto [first, last] = Scheduler::shard_range(n, s, shards);
-    for (NodeId v = first; v < last; ++v) {
-      counts[s].count += flags[v] ? 0 : 1;
-    }
-  }
-  return counts;
-}
 
 void MessageArena::reset(NodeId n, unsigned shards) {
   n_ = n;
@@ -260,31 +248,120 @@ std::size_t SlotBuckets::stage(std::uint64_t slot) {
   return m;
 }
 
+/// The cross-rank half of a windowed core (K > 1 only), held at high-water
+/// capacity so warmed-up exchanges allocate nothing.  Every rank swaps with
+/// its peers in ascending order: no waiting cycle, and each swap is
+/// full-duplex (shard_comm.hpp), so a round's exchange always completes.
+struct RuntimeCore::RankSeam {
+  shard_comm::Transport* transport;
+  std::vector<NodeId> bounds;                     ///< ranks + 1 window bounds
+  std::vector<shard_comm::PeerBatch> out;         ///< per dst rank
+  std::vector<std::vector<ChannelWrite>> writes;  ///< per src rank
+  std::vector<ChannelWrite> merged;  ///< rank-major slot writes, swapped in
+  std::vector<std::uint8_t> out_blob;
+  std::vector<std::uint8_t> in_blob;
+  std::uint64_t xshard_msgs = 0;
+  std::uint64_t boundary_edges = 0;
+
+  unsigned ranks() const { return static_cast<unsigned>(out.size()); }
+  shard_comm::Window window(unsigned r) const {
+    return {bounds[r], bounds[r + 1]};
+  }
+  unsigned owner_of(NodeId v) const {
+    // floor(v K / n) never overshoots v's window; it may undershoot by one.
+    auto r = static_cast<unsigned>(std::uint64_t{v} * ranks() / bounds.back());
+    while (v >= bounds[r + 1]) ++r;
+    return r;
+  }
+  void swap(unsigned peer) {
+    transport->exchange(peer, out_blob.data(), out_blob.size(), in_blob);
+  }
+};
+
 RuntimeCore::RuntimeCore(const Graph& g, std::uint64_t seed,
                          std::unique_ptr<Scheduler> scheduler,
-                         std::unique_ptr<ChannelDiscipline> discipline)
+                         std::unique_ptr<ChannelDiscipline> discipline,
+                         shard_comm::Transport* transport)
     : graph_(&g),
       scheduler_(scheduler ? std::move(scheduler)
                            : std::make_unique<SerialScheduler>()),
       discipline_(discipline ? std::move(discipline)
                              : std::make_unique<FreeForAllDiscipline>()) {
   const NodeId n = g.num_nodes();
-  // Views are O(n) pointer setup over the graph's shared CSR arena — no
-  // per-node adjacency copy, no per-node edge index (see graph/graph.hpp).
-  views_.resize(n);
-  rngs_.reserve(n);
+  const unsigned ranks = transport != nullptr ? transport->ranks() : 1;
+  const unsigned rank = transport != nullptr ? transport->rank() : 0;
+  MMN_REQUIRE(ranks >= 1 && rank < ranks, "rank out of range");
+  const auto [lo, hi] = Scheduler::shard_range(n, rank, ranks);
+  lo_ = lo;
+  own_ = rank;
+  // Views are O(window) pointer setup over the graph's shared CSR arena —
+  // no per-node adjacency copy, no per-node edge index (see
+  // graph/graph.hpp).  Rng::fork is pure, so a window's streams are the
+  // serial run's without replaying the unowned forks.
+  views_.resize(hi - lo);
+  rngs_.reserve(hi - lo);
   Rng root(seed);
-  for (NodeId v = 0; v < n; ++v) {
-    views_[v] = LocalView{v, n, &g};
+  for (NodeId v = lo; v < hi; ++v) {
+    views_[v - lo] = LocalView{v, n, &g};
     rngs_.push_back(root.fork(v));
   }
-  shards_.resize(scheduler_->shards());
-  latency_.reset(scheduler_->shards());
-  for (unsigned s = 0; s < scheduler_->shards(); ++s) {
-    shards_[s].latency = &latency_.block(s);
+  const unsigned shards = scheduler_->shards();
+  shards_.resize(shards + ranks - 1);
+  latency_.reset(shards);
+  for (unsigned s = 0; s < shards; ++s) {
+    shard(s).latency = &latency_.block(s);
   }
-  arena_.reset(n, scheduler_->shards());
-  discipline_->reset(n);
+  arena_.reset(hi - lo, shards + ranks - 1);
+  discipline_->reset(n);  // the channel spans all n nodes on every rank
+
+  if (ranks > 1) {
+    seam_ = std::make_unique<RankSeam>();
+    seam_->transport = transport;
+    seam_->bounds.resize(ranks + 1);
+    for (unsigned r = 0; r < ranks; ++r) {
+      seam_->bounds[r] = Scheduler::shard_range(n, r, ranks).first;
+    }
+    seam_->bounds[ranks] = n;
+    seam_->out.resize(ranks);
+    seam_->writes.resize(ranks);
+    for (NodeId v = lo; v < hi; ++v) {
+      for (const Neighbor& nb : g.neighbors(v)) {
+        if (nb.to < lo || nb.to >= hi) ++seam_->boundary_edges;
+      }
+    }
+  }
+}
+
+RuntimeCore::~RuntimeCore() = default;
+
+std::uint64_t RuntimeCore::xshard_msgs() const {
+  return seam_ != nullptr ? seam_->xshard_msgs : 0;
+}
+
+std::uint64_t RuntimeCore::boundary_edges() const {
+  return seam_ != nullptr ? seam_->boundary_edges : 0;
+}
+
+void RuntimeCore::init_outstanding(const std::vector<char>& flags) {
+  const unsigned shards = scheduler_->shards();
+  outstanding_.assign(shards, ShardOutstanding{});
+  for (unsigned s = 0; s < shards; ++s) {
+    const auto [first, last] = Scheduler::shard_range(num_nodes(), s, shards);
+    for (NodeId v = first; v < last; ++v) {
+      outstanding_[s].count += flags[v] ? 0 : 1;
+    }
+  }
+  remote_outstanding_ = 0;
+  if (seam_ == nullptr) return;
+  std::int64_t local = 0;
+  for (const ShardOutstanding& s : outstanding_) local += s.count;
+  shard_comm::encode_count(local, seam_->out_blob);
+  for (unsigned peer = 0; peer < seam_->ranks(); ++peer) {
+    if (peer == own_) continue;
+    seam_->swap(peer);
+    remote_outstanding_ +=
+        shard_comm::decode_count(seam_->in_blob, seam_->window(peer));
+  }
 }
 
 SlotObservation RuntimeCore::resolve_slot() {
@@ -296,7 +373,9 @@ SlotObservation RuntimeCore::resolve_slot() {
 
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   scheduler_->for_each_node(num_nodes(), fn);
-  for (ShardBuffer& sb : shards_) {
+  const unsigned shards = scheduler_->shards();
+  for (unsigned s = 0; s < shards; ++s) {
+    ShardBuffer& sb = shard(s);
     for (ChannelWrite& w : sb.channel_writes) {
       slot_writes_.push_back(std::move(w));
     }
@@ -308,10 +387,75 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
       sb.fault_drops = 0;
     }
   }
+  if (seam_ != nullptr) [[unlikely]] exchange_round();
   slot_ = resolve_slot();
   arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
   ++round_;
   ++metrics_.rounds;
+}
+
+/// The per-round rank seam, between the commit and the slot resolution:
+///  1. partition — own-window headers stay in their shard buffer, rebased
+///     to local ids (their payloads are not copied); cross-window headers
+///     pack into one batch per destination rank, in send order;
+///  2. swap — one frame per peer: the batch, this rank's channel writes
+///     (slot_writes_ holds exactly those here), and its outstanding count;
+///     incoming headers and payloads land in that peer's ingress buffer;
+///  3. merge — channel writes rank-major, i.e. ascending node order, the
+///     serial commit order the disciplines' determinism is stated over;
+///     outstanding counts summed into the termination predicate.
+/// The ingress buffers sit around the own shards in shards_, so the flip
+/// that follows sees the serial ascending-sender order.
+void RuntimeCore::exchange_round() {
+  RankSeam& seam = *seam_;
+  const NodeId w = num_nodes();
+  const unsigned shards = scheduler_->shards();
+  for (shard_comm::PeerBatch& b : seam.out) b.clear();
+  std::int64_t local = 0;
+  for (unsigned s = 0; s < shards; ++s) {
+    local += outstanding_[s].count;
+    ShardBuffer& sb = shard(s);
+    for (shard_comm::PeerBatch& b : seam.out) b.next_pool();
+    const Packet* pool = sb.pool.data();
+    std::size_t kept = 0;
+    for (const MsgHeader& h : sb.outbox) {
+      const NodeId local_to = h.to - lo_;  // wraps for nodes below the window
+      if (local_to < w) {
+        sb.outbox[kept++] = MsgHeader{local_to, h.from, h.via, h.ref};
+      } else {
+        seam.out[seam.owner_of(h.to)].pack(h, pool[h.ref]);
+        ++seam.xshard_msgs;
+      }
+    }
+    sb.outbox.resize(kept);
+    // A shard whose every send left the rank has nothing for the flip to
+    // recycle; rewind its pool here (the payloads are on the wire now).
+    if (kept == 0) {
+      sb.pool_used = 0;
+      sb.pool_bytes = 0;
+    }
+  }
+
+  remote_outstanding_ = 0;
+  for (unsigned peer = 0; peer < seam.ranks(); ++peer) {
+    if (peer == own_) continue;
+    shard_comm::encode_frame(seam.out[peer], slot_writes_, local,
+                             seam.out_blob);
+    seam.swap(peer);
+    seam.writes[peer].clear();
+    ShardBuffer& ingress = shards_[peer < own_ ? peer : peer + shards - 1];
+    remote_outstanding_ += shard_comm::decode_frame(
+        seam.in_blob, seam.window(peer), seam.window(own_), ingress,
+        seam.writes[peer]);
+  }
+
+  seam.merged.clear();
+  for (unsigned r = 0; r < seam.ranks(); ++r) {
+    const std::vector<ChannelWrite>& from =
+        r == own_ ? slot_writes_ : seam.writes[r];
+    seam.merged.insert(seam.merged.end(), from.begin(), from.end());
+  }
+  slot_writes_.swap(seam.merged);
 }
 
 void RuntimeCore::commit_async_phase() {

@@ -23,6 +23,12 @@
 // so concatenating their header buffers in shard order reproduces the
 // serial send order bit for bit (see sim/scheduler.hpp) — the payload
 // indirection never participates in ordering.
+//
+// A core may own only a window [lo, hi) of the nodes: rank r of a K-rank
+// run (sim/rank.hpp) steps Scheduler::shard_range(n, r, K) and swaps its
+// cross-window effects with the other ranks through a Transport
+// (sim/shard_comm.hpp) once per round.  On a single rank the window is
+// [0, n) and no exchange code runs.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +53,10 @@
 namespace mmn::sim {
 
 class FaultRuntime;
+
+namespace shard_comm {
+class Transport;
+}
 
 /// Outcome of an engine's last step()/run() call.  Shared by both stepping
 /// policies: AsyncEngine has reported it since PR 2; the synchronous Engine
@@ -194,19 +204,6 @@ struct alignas(64) ShardBuffer {
 struct alignas(64) ShardOutstanding {
   std::int64_t count = 0;
 };
-
-/// Initial per-shard outstanding counts for n nodes whose finished flags are
-/// `flags` (flags[v] != 0 means finished), sharded like the scheduler.
-std::vector<ShardOutstanding> initial_outstanding(
-    const std::vector<char>& flags, unsigned shards);
-
-/// True when no shard has unfinished nodes left.
-inline bool none_outstanding(const std::vector<ShardOutstanding>& counts) {
-  for (const ShardOutstanding& s : counts) {
-    if (s.count != 0) return false;
-  }
-  return true;
-}
 
 /// Per-round API handed to a Process.  All sends happen "this round" and are
 /// delivered next round; at most one channel write per round.
@@ -627,6 +624,11 @@ class SlotBuckets {
 };
 
 /// The substrate both engines execute on.
+///
+/// Per-node state is indexed by the local index v - window_lo() (equal to
+/// v on a single rank).  On rank r of K the arena flips K - 1 + shards()
+/// buffers: ingress from ranks below r, then this rank's own shards, then
+/// ingress from ranks above — ascending sender order, as on one rank.
 class RuntimeCore {
  public:
   /// Builds views, per-node RNG streams forked from `seed`, the channel,
@@ -634,15 +636,24 @@ class RuntimeCore {
   /// graph's CSR arena (O(n) pointer setup, no adjacency copies), so `g`
   /// must outlive the core and every engine built on it.  A null scheduler
   /// means serial; a null discipline means free-for-all (the bare Section 2
-  /// channel).
+  /// channel).  A transport with ranks() > 1 makes this core rank
+  /// transport->rank()'s window of a sharded run: `g` must then hold at
+  /// least that window's rows (build_topology_window), the transport must
+  /// outlive the core, and every rank must build its core with the same
+  /// seed and discipline.
   RuntimeCore(const Graph& g, std::uint64_t seed,
               std::unique_ptr<Scheduler> scheduler = nullptr,
-              std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+              std::unique_ptr<ChannelDiscipline> discipline = nullptr,
+              shard_comm::Transport* transport = nullptr);
+  ~RuntimeCore();
 
   RuntimeCore(const RuntimeCore&) = delete;
   RuntimeCore& operator=(const RuntimeCore&) = delete;
 
+  /// Nodes this core steps: the window [window_lo(), window_lo() +
+  /// num_nodes()), all n nodes on a single rank.
   NodeId num_nodes() const { return static_cast<NodeId>(views_.size()); }
+  NodeId window_lo() const { return lo_; }
   const Graph& graph() const { return *graph_; }
   const LocalView& view(NodeId v) const { return views_[v]; }
   Rng& rng(NodeId v) { return rngs_[v]; }
@@ -653,20 +664,45 @@ class RuntimeCore {
   std::uint64_t round() const { return round_; }
   std::span<const Received> inbox(NodeId v) const { return arena_.inbox(v); }
   Scheduler& scheduler() { return *scheduler_; }
-  ShardBuffer& shard(unsigned s) { return shards_[s]; }
+  ShardBuffer& shard(unsigned s) { return shards_[own_ + s]; }
   ChannelDiscipline& discipline() { return *discipline_; }
+
+  /// Sets the per-shard outstanding (not-yet-finished) counters from the
+  /// engine's finished flags (flags[v] != 0 means finished; local index),
+  /// sharded like the scheduler.  On a sharded run the ranks also swap
+  /// their totals once, since termination is checked before round 0.
+  void init_outstanding(const std::vector<char>& flags);
+
+  /// Scheduler shard s's outstanding counter.  Written only by that
+  /// shard's worker, on a node's finished-transition.
+  ShardOutstanding& outstanding(unsigned s) { return outstanding_[s]; }
+
+  /// True when no node of any rank is outstanding.
+  bool all_finished() const {
+    for (const ShardOutstanding& s : outstanding_) {
+      if (s.count != 0) return false;
+    }
+    return remote_outstanding_ == 0;
+  }
 
   /// Installs the fault runtime whose drop counters the commit paths merge
   /// into (null = fault-free; the default).  Owned by the engine.
   void set_fault_runtime(FaultRuntime* faults) { faults_ = faults; }
   FaultRuntime* fault_runtime() { return faults_; }
 
-  /// One lockstep round: runs `fn` over every node under the scheduler, then
-  /// commits deterministically — channel writes and p2p sends merged in
-  /// ascending shard order, slot resolved, arena flipped, round advanced.
-  /// (Termination tracking lives with the engines' per-shard outstanding
-  /// counters; the core commits only message/channel effects.)
+  /// One lockstep round: runs `fn` over every owned node (local index)
+  /// under the scheduler, then commits deterministically — channel writes
+  /// and p2p sends merged in ascending shard order, on a sharded run
+  /// swapped with the other ranks (exchange_round), slot resolved, arena
+  /// flipped, round advanced.
   void run_round(Scheduler::NodeFn fn);
+
+  /// Cross-shard messages this rank sent to peers (headers on the wire);
+  /// 0 on a single rank.
+  std::uint64_t xshard_msgs() const;
+  /// Edges with exactly one endpoint in the window — the frontier the
+  /// cross-shard traffic rides; 0 on a single rank.
+  std::uint64_t boundary_edges() const;
 
   /// Resolves the current slot through the channel discipline: the staged
   /// writes (ascending commit order = ascending node order within the slot)
@@ -698,12 +734,18 @@ class RuntimeCore {
   void commit_async_phase();
 
  private:
+  struct RankSeam;
+
+  void exchange_round();
+
   const Graph* graph_;
+  NodeId lo_ = 0;     ///< first owned node
+  unsigned own_ = 0;  ///< index of scheduler shard 0 in shards_ (= rank)
   std::vector<LocalView> views_;
   std::vector<Rng> rngs_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<ChannelDiscipline> discipline_;
-  std::vector<ShardBuffer> shards_;
+  std::vector<ShardBuffer> shards_;  ///< [ingress below][own][ingress above]
   LatencyRecorder latency_;
   MessageArena arena_;
   SlotBuckets slot_buckets_;
@@ -713,6 +755,9 @@ class RuntimeCore {
   Metrics metrics_;
   FaultRuntime* faults_ = nullptr;  ///< engine-owned; drops merge here
   std::uint64_t round_ = 0;
+  std::vector<ShardOutstanding> outstanding_;  ///< per scheduler shard
+  std::int64_t remote_outstanding_ = 0;  ///< other ranks' total, last swap
+  std::unique_ptr<RankSeam> seam_;  ///< null on a single rank
 };
 
 }  // namespace mmn::sim

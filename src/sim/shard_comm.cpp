@@ -8,12 +8,75 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "support/check.hpp"
 
 namespace mmn::sim::shard_comm {
 namespace {
+
+void append_bytes(std::vector<std::uint8_t>& blob, const void* data,
+                  std::size_t bytes) {
+  if (bytes == 0) return;  // data() of an empty vector may be null
+  const std::size_t old = blob.size();
+  blob.resize(old + bytes);
+  std::memcpy(blob.data() + old, data, bytes);
+}
+
+void append_u64(std::vector<std::uint8_t>& blob, std::uint64_t x) {
+  append_bytes(blob, &x, sizeof(x));
+}
+
+bool in_window(NodeId v, Window w) { return v >= w.first && v < w.second; }
+
+/// Bounds-checked cursor over a received blob.  Every read compares the
+/// bytes it wants with the bytes left (cur <= size always holds), so no
+/// count can wrap past the end.
+struct BlobReader {
+  std::span<const std::uint8_t> blob;
+  std::size_t cur = 0;
+
+  std::size_t left() const { return blob.size() - cur; }
+
+  const std::uint8_t* take(std::size_t bytes) {
+    MMN_REQUIRE(bytes <= left(), "rank exchange blob truncated");
+    const std::uint8_t* p = blob.data() + cur;
+    cur += bytes;
+    return p;
+  }
+
+  std::span<const std::uint8_t> sub(std::uint64_t bytes) {
+    MMN_REQUIRE(bytes <= left(), "rank exchange blob truncated");
+    return {take(static_cast<std::size_t>(bytes)),
+            static_cast<std::size_t>(bytes)};
+  }
+
+  std::uint64_t read_u64() {
+    std::uint64_t x;
+    std::memcpy(&x, take(sizeof(x)), sizeof(x));
+    return x;
+  }
+
+  /// Parses one live-prefix Packet (the first word carries the size field,
+  /// so the wire length is self-describing).  The void* casts opt into the
+  /// same partial-object copy the staging pools do (stale tail never read).
+  void read_packet(Packet& out) {
+    MMN_REQUIRE(sizeof(Word) <= left(), "rank exchange blob truncated");
+    std::memcpy(static_cast<void*>(&out), blob.data() + cur, sizeof(Word));
+    const std::size_t live = out.live_bytes();
+    MMN_REQUIRE(live <= sizeof(Packet), "rank exchange packet too long");
+    std::memcpy(static_cast<void*>(&out), take(live), live);
+  }
+};
+
+std::int64_t read_outstanding(BlobReader& in, Window src) {
+  const std::uint64_t count = in.read_u64();
+  MMN_REQUIRE(count <= src.second - src.first,
+              "outstanding count exceeds the sender's window");
+  return static_cast<std::int64_t>(count);
+}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -216,23 +279,128 @@ void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
     }
   }
 
-  {
+  // No child may unwind out of here: it would carry on as a second copy of
+  // the caller's program.  Children _exit, skipping atexit/static
+  // destructors (they share the parent's stdio and harness state, none of
+  // which they own).  The mesh closes first, so peers blocked on a failed
+  // rank fail their exchange instead of hanging.
+  std::exception_ptr error;
+  try {
     SocketMesh mesh(my_rank, ranks, std::move(fds));
     fn(mesh);
+  } catch (const std::exception& e) {
+    if (my_rank != 0) {
+      std::fprintf(stderr, "rank %u: %s\n", my_rank, e.what());
+      ::_exit(1);
+    }
+    error = std::current_exception();
+  } catch (...) {
+    if (my_rank != 0) ::_exit(1);
+    error = std::current_exception();
   }
+  if (my_rank != 0) ::_exit(0);
 
-  if (my_rank != 0) {
-    // Skip atexit/static destructors: the child shares the parent's stdio
-    // and test/bench harness state, none of which it owns.
-    ::_exit(0);
-  }
+  bool children_ok = true;
   for (const pid_t pid : children) {
     int status = 0;
-    const pid_t got = ::waitpid(pid, &status, 0);
-    MMN_REQUIRE(got == pid, "waitpid() failed reaping a rank");
-    MMN_REQUIRE(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-                "a child rank exited abnormally");
+    pid_t got;
+    do {
+      got = ::waitpid(pid, &status, 0);
+    } while (got < 0 && errno == EINTR);
+    children_ok = children_ok && got == pid && WIFEXITED(status) &&
+                  WEXITSTATUS(status) == 0;
   }
+  if (error) std::rethrow_exception(error);
+  MMN_REQUIRE(children_ok, "a child rank exited abnormally");
+}
+
+void PeerBatch::pack(const MsgHeader& h, const Packet& payload) {
+  if (h.ref != last_src_) {
+    last_src_ = h.ref;
+    append_bytes(payload_, &payload, payload.live_bytes());
+    ++runs_;
+  }
+  headers_.push_back(MsgHeader{h.to, h.from, h.via, runs_ - 1});
+}
+
+void encode_frame(const PeerBatch& batch, std::span<const ChannelWrite> writes,
+                  std::int64_t outstanding, std::vector<std::uint8_t>& blob) {
+  blob.clear();
+  append_u64(blob, batch.headers().size());
+  append_bytes(blob, batch.headers().data(),
+               batch.headers().size() * sizeof(MsgHeader));
+  append_u64(blob, batch.payload().size());
+  append_bytes(blob, batch.payload().data(), batch.payload().size());
+  append_u64(blob, writes.size());
+  for (const ChannelWrite& w : writes) {
+    append_bytes(blob, &w.node, sizeof(w.node));
+    append_bytes(blob, &w.packet, w.packet.live_bytes());
+  }
+  append_u64(blob, static_cast<std::uint64_t>(outstanding));
+}
+
+std::int64_t decode_frame(std::span<const std::uint8_t> blob, Window src,
+                          Window dst, ShardBuffer& ingress,
+                          std::vector<ChannelWrite>& writes) {
+  BlobReader in{blob};
+  const std::uint64_t n_headers = in.read_u64();
+  // Compare counts with the bytes left; multiplying first can wrap.
+  MMN_REQUIRE(n_headers <= in.left() / sizeof(MsgHeader),
+              "rank exchange blob truncated");
+  const std::uint8_t* headers = in.take(n_headers * sizeof(MsgHeader));
+  const std::uint64_t payload_bytes = in.read_u64();
+  BlobReader payload{in.sub(payload_bytes)};
+  // Wire refs are run ordinals: a ref change means the next payload in the
+  // stream; equal refs share the previously staged slot.
+  PacketRef last_wire = static_cast<PacketRef>(-1);
+  PacketRef staged = 0;
+  Packet pkt;
+  for (std::uint64_t i = 0; i < n_headers; ++i) {
+    MsgHeader h;
+    std::memcpy(&h, headers + i * sizeof(MsgHeader), sizeof(MsgHeader));
+    MMN_REQUIRE(in_window(h.to, dst),
+                "cross-shard header addressed to a node this rank does not "
+                "own");
+    MMN_REQUIRE(in_window(h.from, src),
+                "cross-shard header from a node the sender does not own");
+    if (h.ref != last_wire) {
+      MMN_REQUIRE(h.ref == static_cast<PacketRef>(last_wire + 1),
+                  "cross-shard payload runs out of order");
+      last_wire = h.ref;
+      payload.read_packet(pkt);
+      staged = ingress.stage_packet(pkt);
+    }
+    ingress.outbox.push_back(
+        MsgHeader{h.to - dst.first, h.from, h.via, staged});
+  }
+  MMN_REQUIRE(payload.left() == 0, "cross-shard payload bytes left over");
+
+  const std::uint64_t n_writes = in.read_u64();
+  MMN_REQUIRE(n_writes <= in.left() / (sizeof(NodeId) + sizeof(Word)),
+              "rank exchange blob truncated");
+  for (std::uint64_t i = 0; i < n_writes; ++i) {
+    ChannelWrite w;
+    std::memcpy(&w.node, in.take(sizeof(w.node)), sizeof(w.node));
+    MMN_REQUIRE(in_window(w.node, src),
+                "channel write from a node the sender does not own");
+    in.read_packet(w.packet);
+    writes.push_back(w);
+  }
+  const std::int64_t outstanding = read_outstanding(in, src);
+  MMN_REQUIRE(in.left() == 0, "rank exchange blob has trailing bytes");
+  return outstanding;
+}
+
+void encode_count(std::int64_t outstanding, std::vector<std::uint8_t>& blob) {
+  blob.clear();
+  append_u64(blob, static_cast<std::uint64_t>(outstanding));
+}
+
+std::int64_t decode_count(std::span<const std::uint8_t> blob, Window src) {
+  BlobReader in{blob};
+  const std::int64_t outstanding = read_outstanding(in, src);
+  MMN_REQUIRE(in.left() == 0, "rank exchange blob has trailing bytes");
+  return outstanding;
 }
 
 }  // namespace mmn::sim::shard_comm

@@ -9,12 +9,17 @@
 // operator new
 // (it links into its own test binary; the counter covers every allocation in
 // the process, from any thread) and asserts the count stays zero across a
-// post-warm-up window on both engines, serial and 4-thread.
+// post-warm-up window on both engines, serial and 4-thread, and on the two
+// ranks of a sharded Engine run — each rank process counts its own
+// allocations, so the window covers the per-round partition, frame
+// encode/decode and socket swap too.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -23,7 +28,9 @@
 #include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/rank.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard_comm.hpp"
 
 namespace {
 
@@ -63,6 +70,16 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return checked_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+// libstdc++'s temporary buffers (std::stable_sort) take the nothrow form and
+// free through the plain operator delete, so it must come from malloc too.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  note_alloc();
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  note_alloc();
+  return std::malloc(size ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -173,6 +190,38 @@ TEST(SteadyStateAllocation, SyncEngineAllocatesNothingPerRound) {
     EXPECT_EQ(allocs, 0u)
         << allocs << " heap allocations in " << kMeasuredRounds
         << " steady-state rounds with " << threads << " thread(s)";
+  }
+}
+
+TEST(SteadyStateAllocation, TwoRankRoundsAllocateNothing) {
+  // The chatter crosses the cut every round (a random graph's windows share
+  // many edges), with broadcast runs and channel writes on the wire.  A
+  // rank that allocates throws inside its own process; run_ranks turns a
+  // child's failure into an exception in the parent.
+  const TopologySpec spec{TopoKind::kRandom, 96, 11};
+  for (unsigned threads : {1u, 2u}) {
+    try {
+      shard_comm::run_ranks(2, [&](shard_comm::Transport& t) {
+        const auto [lo, hi] = Scheduler::shard_range(96, t.rank(), 2);
+        const Graph g = build_topology_window(spec, GraphWindow{lo, hi});
+        Engine engine(g, RankSpec{t.rank(), 2, lo, hi},
+                      [](const LocalView& v) {
+                        return std::make_unique<ChatterProcess>(v);
+                      },
+                      11, t, nullptr,
+                      threads <= 1 ? nullptr : make_scheduler(threads));
+        const std::uint64_t allocs =
+            measure([&engine](std::uint64_t rounds) { engine.step(rounds); });
+        MMN_REQUIRE(engine.xshard_msgs() > 0, "no traffic crossed the cut");
+        MMN_REQUIRE(allocs == 0,
+                    "rank " + std::to_string(t.rank()) + ": " +
+                        std::to_string(allocs) + " heap allocations in " +
+                        std::to_string(kMeasuredRounds) + " rounds with " +
+                        std::to_string(threads) + " thread(s)");
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
   }
 }
 

@@ -1,14 +1,23 @@
 // Sharded execution (sim/rank.hpp, scenario/rank_run.hpp): windowed graph
 // builds must reproduce the full build's owned rows bit for bit, the
-// socketpair transport must swap arbitrary blobs, and a sharded scenario
-// run must produce the serial run's digest, metrics, and fault stats
-// exactly — including under fault churn — across 1, 2, and 4 ranks.
+// socketpair transport must swap arbitrary blobs, the frame decoder must
+// reject every torn or garbled frame without reading past it, a throwing
+// rank must fail the run in the parent only, and a sharded scenario run
+// must produce the serial run's digest, metrics, and fault stats exactly —
+// including under fault churn — across 1, 2, and 4 ranks, with and without
+// threads inside each rank.
 //
 // Child ranks run in forked processes, so in-child checks use MMN_REQUIRE
-// (an aborting child fails the parent's waitpid requirement); gtest
-// EXPECTs live only in rank 0 / parent code.
+// (a throwing child exits nonzero and run_ranks throws in the parent);
+// gtest EXPECTs live only in rank 0 / parent code.
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +25,8 @@
 #include "graph/generators.hpp"
 #include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
+#include "sim/fault.hpp"
+#include "sim/rank.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -142,6 +153,256 @@ TEST(RankRun, FaultChurnMatchesSerial) {
   // replication (replicated overlay + stifles) and the drops reduction.
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 1);
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3);
+}
+
+/// run_sharded's rank body with a `threads`-wide scheduler in every rank:
+/// windowed build, replicated fault plan, the rank-major digest chain, and
+/// rank 0's gather of the per-rank sums.
+RunResult run_threaded_ranks(const scenario::Scenario& s, NodeId nominal,
+                             std::uint64_t seed, unsigned ranks,
+                             unsigned threads, std::uint32_t faults) {
+  struct Tally {
+    std::uint64_t digest, p2p, drops, completed;
+  };
+  RunResult out;
+  sim::shard_comm::run_ranks(ranks, [&](sim::shard_comm::Transport& t) {
+    const NodeId n = topology_round_n(s.topology, nominal);
+    const auto [lo, hi] = sim::Scheduler::shard_range(n, t.rank(), ranks);
+    const Graph g = build_topology_window(TopologySpec{s.topology, n, seed},
+                                          GraphWindow{lo, hi});
+    sim::FaultPlan plan;
+    if (faults > 0) {
+      plan = s.make_fault_plan(scenario::make_scenario_graph(s, nominal, seed),
+                               faults, seed);
+    }
+    sim::Engine eng(
+        g, sim::RankSpec{t.rank(), ranks, lo, hi},
+        s.make_load_factory ? s.make_load_factory(g, s.default_load)
+                            : s.make_factory(g),
+        seed, t,
+        sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed),
+        sim::make_scheduler(threads));
+    if (!plan.empty()) eng.install_faults(plan);
+    Tally mine{scenario::kDigestSeed, 0, 0, 0};
+    mine.completed = eng.step(s.max_rounds) ? 1 : 0;
+    mine.p2p = eng.metrics().p2p_messages;
+    mine.drops = plan.empty() ? 0 : eng.faults()->stats().drops;
+
+    std::vector<std::uint8_t> in;
+    const auto swap = [&](unsigned peer, const void* data, std::size_t bytes) {
+      t.exchange(peer, static_cast<const std::uint8_t*>(data), bytes, in);
+    };
+    if (t.rank() > 0) {
+      swap(t.rank() - 1, nullptr, 0);
+      std::memcpy(&mine.digest, in.data(), sizeof(mine.digest));
+    }
+    mine.digest = s.digest(scenario::NodeResults{
+        hi - lo,
+        [&eng](NodeId v) -> const sim::Process& { return eng.process(v); },
+        nullptr, lo, mine.digest});
+    if (t.rank() + 1 < ranks) {
+      swap(t.rank() + 1, &mine.digest, sizeof(mine.digest));
+    }
+    if (t.rank() != 0) {
+      swap(0, &mine, sizeof(mine));
+      return;
+    }
+    out.realized_n = n;
+    out.completed = mine.completed != 0;
+    out.metrics = eng.metrics();
+    if (!plan.empty()) out.faults = eng.faults()->stats();
+    for (unsigned r = 1; r < ranks; ++r) {
+      Tally peer;
+      swap(r, nullptr, 0);
+      std::memcpy(&peer, in.data(), sizeof(peer));
+      out.metrics.p2p_messages += peer.p2p;
+      out.faults.drops += peer.drops;
+      mine.digest = peer.digest;  // the chain ends on the last rank
+    }
+    out.digest = mine.digest;
+    if (!plan.empty()) {
+      out.digest = scenario::digest_mix(out.digest, out.faults.digest_word());
+    }
+  });
+  return out;
+}
+
+void expect_threaded_ranks_match_serial(const char* name, NodeId n,
+                                        std::uint64_t seed,
+                                        std::uint32_t faults) {
+  scenario::register_builtin();
+  const scenario::Scenario* s = Registry::instance().find(name);
+  ASSERT_NE(s, nullptr) << name;
+  const RunResult serial =
+      run(*s, n, seed, nullptr, scenario::EngineKind::kSync, 0.0, faults);
+  for (unsigned ranks : {2u, 4u}) {
+    const RunResult r = run_threaded_ranks(*s, n, seed, ranks, 2, faults);
+    EXPECT_EQ(r.digest, serial.digest) << name << " ranks=" << ranks;
+    EXPECT_TRUE(r.metrics == serial.metrics) << name << " ranks=" << ranks;
+    EXPECT_TRUE(r.faults == serial.faults) << name << " ranks=" << ranks;
+    EXPECT_EQ(r.completed, serial.completed);
+  }
+}
+
+TEST(RankRun, ThreadsInsideRanksMatchSerial) {
+  expect_threaded_ranks_match_serial("global/min/rand/ring", 256, 11, 0);
+  expect_threaded_ranks_match_serial("global/min/det/random", 96, 7, 0);
+  expect_threaded_ranks_match_serial("fault/load/churn/ring", 64, 7, 1);
+  expect_threaded_ranks_match_serial("fault/load/churn/ring", 64, 7, 3);
+}
+
+TEST(RankRun, ThrowingRankFailsTheRunInTheParentOnly) {
+  // Every process that gets past run_ranks reports its pid on a pipe; with
+  // a child escaping by exception there would be two reporters.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t parent = ::getpid();
+  bool threw = false;
+  try {
+    sim::shard_comm::run_ranks(3, [](sim::shard_comm::Transport& t) {
+      MMN_REQUIRE(t.rank() != 1, "rank 1 fails on purpose");
+      std::vector<std::uint8_t> in;
+      for (unsigned peer = 0; peer < t.ranks(); ++peer) {
+        if (peer != t.rank()) t.exchange(peer, nullptr, 0, in);
+      }
+    });
+  } catch (const std::exception&) {
+    threw = true;
+  }
+  const pid_t me = ::getpid();
+  ASSERT_EQ(::write(fds[1], &me, sizeof(me)), static_cast<ssize_t>(sizeof(me)));
+  if (me != parent) ::_exit(0);
+  ::close(fds[1]);
+  std::vector<pid_t> reporters;
+  pid_t pid;
+  while (::read(fds[0], &pid, sizeof(pid)) == static_cast<ssize_t>(sizeof(pid))) {
+    reporters.push_back(pid);
+  }
+  ::close(fds[0]);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(reporters, std::vector<pid_t>{parent});
+  // Every child was reaped: none is left, zombie or running.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// ----- frame decoder -------------------------------------------------------
+
+const sim::shard_comm::Window kSrc{8, 16};
+const sim::shard_comm::Window kDst{0, 8};
+
+struct Decoded {
+  sim::ShardBuffer ingress;
+  std::vector<sim::ChannelWrite> writes;
+  std::int64_t outstanding = 0;
+};
+
+/// Decodes `blob` and re-encodes the result: a decode that returns must
+/// reproduce exactly the bytes it was given.
+std::vector<std::uint8_t> round_trip(const std::vector<std::uint8_t>& blob,
+                                     Decoded& d) {
+  d.outstanding = sim::shard_comm::decode_frame(blob, kSrc, kDst, d.ingress,
+                                                d.writes);
+  sim::shard_comm::PeerBatch batch;
+  for (const sim::MsgHeader& h : d.ingress.outbox) {
+    EXPECT_LT(h.to, kDst.second - kDst.first);
+    EXPECT_LT(h.ref, d.ingress.pool_used);
+    batch.pack(sim::MsgHeader{h.to + kDst.first, h.from, h.via, h.ref},
+               d.ingress.pool[h.ref]);
+  }
+  std::vector<std::uint8_t> again;
+  sim::shard_comm::encode_frame(batch, d.writes, d.outstanding, again);
+  return again;
+}
+
+/// A frame with a three-header broadcast run, two single sends, payloads of
+/// different lengths and two channel writes.
+std::vector<std::uint8_t> sample_frame() {
+  const sim::Packet bcast(7, {1, 2, 3});
+  const sim::Packet one(9, {});
+  const sim::Packet full(11, {1, 2, 3, 4, 5, 6, 7, 8});
+  sim::shard_comm::PeerBatch batch;
+  batch.pack({0, 8, 20, 0}, bcast);
+  batch.pack({3, 8, 21, 0}, bcast);
+  batch.pack({7, 8, 22, 0}, bcast);
+  batch.pack({2, 9, 23, 1}, one);
+  batch.next_pool();  // a second shard's pool: ref 1 again, a new payload
+  batch.pack({5, 12, 24, 1}, full);
+  const std::vector<sim::ChannelWrite> writes = {
+      {9, sim::Packet(4, {42})}, {15, sim::Packet(5, {-1, 7})}};
+  std::vector<std::uint8_t> blob;
+  sim::shard_comm::encode_frame(batch, writes, 6, blob);
+  return blob;
+}
+
+TEST(RankWire, FrameRoundTrips) {
+  const std::vector<std::uint8_t> blob = sample_frame();
+  Decoded d;
+  EXPECT_EQ(round_trip(blob, d), blob);
+  ASSERT_EQ(d.ingress.outbox.size(), 5u);
+  EXPECT_EQ(d.ingress.pool_used, 3u);  // one payload per run
+  EXPECT_EQ(d.ingress.outbox[1].to, 3u);
+  EXPECT_EQ(d.ingress.outbox[1].from, 8u);
+  EXPECT_EQ(d.ingress.outbox[1].ref, d.ingress.outbox[0].ref);
+  EXPECT_TRUE(d.ingress.pool[d.ingress.outbox[4].ref] ==
+              sim::Packet(11, {1, 2, 3, 4, 5, 6, 7, 8}));
+  ASSERT_EQ(d.writes.size(), 2u);
+  EXPECT_EQ(d.writes[1].node, 15u);
+  EXPECT_TRUE(d.writes[1].packet == sim::Packet(5, {-1, 7}));
+  EXPECT_EQ(d.outstanding, 6);
+}
+
+TEST(RankWire, EveryTruncationThrows) {
+  const std::vector<std::uint8_t> blob = sample_frame();
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    // An exact-size copy, so ASan sees any read past the prefix.
+    const std::vector<std::uint8_t> cut(blob.begin(), blob.begin() + len);
+    Decoded d;
+    EXPECT_THROW(sim::shard_comm::decode_frame(cut, kSrc, kDst, d.ingress,
+                                               d.writes),
+                 std::invalid_argument)
+        << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(RankWire, CountsThatWouldWrapThrow) {
+  const auto frame = [](std::uint64_t n_headers, std::uint64_t payload) {
+    std::vector<std::uint8_t> blob(32);
+    const sim::MsgHeader h{0, 8, 0, 0};
+    std::memcpy(blob.data(), &n_headers, 8);
+    std::memcpy(blob.data() + 8, &h, sizeof(h));
+    std::memcpy(blob.data() + 24, &payload, 8);
+    return blob;
+  };
+  const std::uint64_t huge_payload = ~std::uint64_t{0} - 15;  // 2^64 - 16
+  // n_headers * 16 wraps to 16; payload_bytes + cursor wraps to 8.
+  for (const auto& blob : {frame((std::uint64_t{1} << 60) + 1, huge_payload),
+                           frame(1, huge_payload)}) {
+    Decoded d;
+    EXPECT_THROW(sim::shard_comm::decode_frame(blob, kSrc, kDst, d.ingress,
+                                               d.writes),
+                 std::invalid_argument);
+  }
+}
+
+TEST(RankWire, ByteFlipsThrowOrRoundTrip) {
+  // No checksum in the format, so a flipped payload word decodes to a
+  // different but well-formed frame; everything else must throw.
+  const std::vector<std::uint8_t> blob = sample_frame();
+  std::mt19937_64 rng(2024);
+  int threw = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::uint8_t> bad = blob;
+    bad[rng() % bad.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+    Decoded d;
+    try {
+      EXPECT_EQ(round_trip(bad, d), bad) << "flip " << i;
+    } catch (const std::invalid_argument&) {
+      ++threw;
+    }
+  }
+  EXPECT_GT(threw, 0);
 }
 
 TEST(RankRun, CrossShardTrafficIsCounted) {
