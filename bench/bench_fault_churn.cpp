@@ -36,15 +36,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/openloop.hpp"
-#include "graph/generators.hpp"
 #include "scenario/registry.hpp"
-#include "sim/fault.hpp"
-#include "sim/scheduler.hpp"
 
 namespace mmn {
 namespace {
@@ -66,9 +61,8 @@ void BM_Recovery(benchmark::State& state, const char* scenario_name,
     result = scenario::run(*s, n, s->default_seed);
     benchmark::DoNotOptimize(result.digest);
   }
-  const scenario::RunResult parallel = scenario::run(
-      *s, n, s->default_seed,
-      std::make_unique<sim::ParallelScheduler>(kCheckThreads));
+  const scenario::RunResult parallel =
+      scenario::run(*s, n, s->default_seed, {.threads = kCheckThreads});
   if (parallel.digest != result.digest ||
       parallel.recovery_slots != result.recovery_slots) {
     state.SkipWithError("serial and 4-thread recovery runs diverged");
@@ -86,53 +80,51 @@ void BM_Recovery(benchmark::State& state, const char* scenario_name,
 }
 
 void BM_Churn(benchmark::State& state, std::uint32_t k) {
+  scenario::register_builtin();
+  const scenario::Scenario* s =
+      scenario::Registry::instance().find("fault/load/churn/ring");
+  if (s == nullptr) {
+    state.SkipWithError("scenario not registered");
+    return;
+  }
   const NodeId n = 64;
-  const Graph g = build_topology(TopologySpec{TopoKind::kRing, n, kSeed});
-  OpenLoopConfig config;
-  config.arrivals = sim::ArrivalKind::kPoisson;
-  config.offered = 0.6;
-  config.horizon = 1200;
-  sim::FaultPlan plan =
-      sim::FaultPlan::link_churn(g, 0.004 * k, config.horizon, kSeed);
-  plan.merge(sim::FaultPlan::node_churn(g, 0.001 * k, /*down_slots=*/40,
-                                        config.horizon, kSeed));
   // The retention denominator: the identical configuration, fault-free.
-  const LoadReport clean = run_open_loop(
-      g, config, sim::DisciplineKind::kReservation, kSeed);
-  LoadReport report;
+  scenario::Scenario fault_free = *s;
+  fault_free.make_fault_plan = nullptr;
+  const scenario::RunResult clean = scenario::run(fault_free, n, kSeed);
+  scenario::RunResult report;
   for (auto _ : state) {
-    report = run_open_loop(g, config, sim::DisciplineKind::kReservation,
-                           kSeed, nullptr, &plan);
+    report = scenario::run(*s, n, kSeed, {.faults = k});
     benchmark::DoNotOptimize(report.digest);
   }
-  const LoadReport parallel = run_open_loop(
-      g, config, sim::DisciplineKind::kReservation, kSeed,
-      std::make_unique<sim::ParallelScheduler>(kCheckThreads), &plan);
-  if (parallel.digest != report.digest || parallel.slots != report.slots) {
+  const scenario::RunResult parallel =
+      scenario::run(*s, n, kSeed, {.threads = kCheckThreads, .faults = k});
+  if (parallel.digest != report.digest ||
+      parallel.metrics.rounds != report.metrics.rounds) {
     state.SkipWithError("serial and 4-thread churn runs diverged");
     return;
   }
   std::uint64_t clean_delivered = 0;
   std::uint64_t faulted_delivered = 0;
   for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-    clean_delivered += clean.classes[c].delivered;
-    faulted_delivered += report.classes[c].delivered;
+    clean_delivered += clean.qos[c].delivered;
+    faulted_delivered += report.qos[c].delivered;
   }
   state.counters["goodput_retention"] = benchmark::Counter(
       clean_delivered == 0 ? 1.0
                            : static_cast<double>(faulted_delivered) /
                                  static_cast<double>(clean_delivered));
   state.counters["fault_drops"] = benchmark::Counter(
-      static_cast<double>(report.degradation.faults.drops));
+      static_cast<double>(report.faults.drops));
   state.counters["orphaned_pkts"] = benchmark::Counter(
-      static_cast<double>(report.degradation.faults.orphaned_pkts));
+      static_cast<double>(report.faults.orphaned_pkts));
   state.counters["p99_delay_slots"] = benchmark::Counter(static_cast<double>(
-      report.classes[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
+      report.qos[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
   state.counters["slots/s"] = benchmark::Counter(
-      static_cast<double>(report.slots) *
+      static_cast<double>(report.metrics.rounds) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(report.quiescent ? "drained" : "capped");
+  state.SetLabel(report.completed ? "drained" : "capped");
 }
 
 void register_rows() {

@@ -40,8 +40,7 @@
 #include <vector>
 
 #include "core/openloop.hpp"
-#include "graph/generators.hpp"
-#include "sim/scheduler.hpp"
+#include "scenario/registry.hpp"
 
 namespace mmn {
 namespace {
@@ -51,71 +50,65 @@ constexpr std::uint64_t kSeed = 7;
 constexpr std::uint64_t kHorizon = 2000;
 constexpr unsigned kCheckThreads = 4;
 
-OpenLoopConfig sweep_config(double offered) {
-  OpenLoopConfig config;
-  config.arrivals = sim::ArrivalKind::kPoisson;
-  config.offered = offered;
-  config.horizon = kHorizon;
-  return config;
-}
-
 void BM_LoadSweep(benchmark::State& state, sim::DisciplineKind discipline,
                   double offered) {
-  const Graph g =
-      build_topology(TopologySpec{TopoKind::kRing, kNodes, kSeed});
-  const OpenLoopConfig config = sweep_config(offered);
-  LoadReport report;
+  const scenario::Scenario s = scenario::open_loop_scenario(
+      "load/sweep", "bench_load_sweep point", TopoKind::kRing,
+      OpenLoopConfig{.arrivals = sim::ArrivalKind::kPoisson,
+                     .horizon = kHorizon},
+      offered, discipline, {kNodes});
+  scenario::RunResult report;
   for (auto _ : state) {
-    report = run_open_loop(g, config, discipline, kSeed);
+    report = scenario::run(s, kNodes, kSeed);
     benchmark::DoNotOptimize(report.digest);
   }
 
   // Scheduler-invariance certificate: one parallel replica must reproduce
   // the serial run bit for bit before the row is published.
-  const LoadReport parallel = run_open_loop(
-      g, config, discipline, kSeed,
-      std::make_unique<sim::ParallelScheduler>(kCheckThreads));
-  if (parallel.digest != report.digest || parallel.slots != report.slots) {
+  const scenario::RunResult parallel =
+      scenario::run(s, kNodes, kSeed, {.threads = kCheckThreads});
+  if (parallel.digest != report.digest ||
+      parallel.metrics.rounds != report.metrics.rounds) {
     state.SkipWithError("serial and 4-thread runs diverged");
     return;
   }
 
   std::uint64_t delivered = 0;
   std::uint64_t backlog = 0;
-  for (const sim::QosSummary& cls : report.classes) {
+  for (const sim::QosSummary& cls : report.qos) {
     delivered += cls.delivered;
     backlog += cls.backlog();
   }
-  const auto slots = static_cast<double>(report.slots);
+  const auto slots = static_cast<double>(report.metrics.rounds);
   state.counters["goodput_pps"] =
       benchmark::Counter(static_cast<double>(delivered) / slots);
   state.counters["p99_delay_slots"] = benchmark::Counter(
-      static_cast<double>(report.classes[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
+      static_cast<double>(report.qos[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
   state.counters["voice_p99"] = benchmark::Counter(
-      static_cast<double>(report.classes[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
+      static_cast<double>(report.qos[static_cast<std::size_t>(sim::QosClass::kVoice)].p99));
   state.counters["video_p99"] = benchmark::Counter(
-      static_cast<double>(report.classes[static_cast<std::size_t>(sim::QosClass::kVideo)].p99));
+      static_cast<double>(report.qos[static_cast<std::size_t>(sim::QosClass::kVideo)].p99));
   state.counters["data_p99"] = benchmark::Counter(
-      static_cast<double>(report.classes[static_cast<std::size_t>(sim::QosClass::kData)].p99));
+      static_cast<double>(report.qos[static_cast<std::size_t>(sim::QosClass::kData)].p99));
   state.counters["voice_jitter"] = benchmark::Counter(
-      report.classes[static_cast<std::size_t>(sim::QosClass::kVoice)].jitter());
+      report.qos[static_cast<std::size_t>(sim::QosClass::kVoice)].jitter());
   state.counters["video_jitter"] = benchmark::Counter(
-      report.classes[static_cast<std::size_t>(sim::QosClass::kVideo)].jitter());
+      report.qos[static_cast<std::size_t>(sim::QosClass::kVideo)].jitter());
   state.counters["data_jitter"] = benchmark::Counter(
-      report.classes[static_cast<std::size_t>(sim::QosClass::kData)].jitter());
+      report.qos[static_cast<std::size_t>(sim::QosClass::kData)].jitter());
   state.counters["backlog_pkts"] =
       benchmark::Counter(static_cast<double>(backlog));
   state.counters["delivered_pkts"] =
       benchmark::Counter(static_cast<double>(delivered));
   state.counters["slots/s"] = benchmark::Counter(
-      static_cast<double>(report.slots) *
+      static_cast<double>(report.metrics.rounds) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
   // Row label: "drained" when the backlog cleared (small residues are the
   // unobserved-final-delivery boundary artifact, core/openloop.hpp),
   // "livelocked" when the run quiesced with a standing backlog (the
   // free-for-all story), "capped" when the slot budget ran out first.
-  state.SetLabel(!report.quiescent        ? "capped"
+  state.SetLabel(!report.completed        ? "capped"
                  : backlog > std::uint64_t{kNodes} ? "livelocked"
                                                    : "drained");
 }

@@ -1,6 +1,6 @@
 // E15 — Sharded execution bench (google-benchmark): cross-rank message
 // batching throughput of sharded Engine runs (sim/rank.hpp,
-// sim/shard_comm.hpp, scenario/rank_run.hpp).
+// sim/shard_comm.hpp), driven through scenario::run's RunConfig::ranks.
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each
 // owning one contiguous node window of the topology, and step the scenario
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
 
 namespace mmn {
@@ -45,12 +44,11 @@ void BM_Sharded(benchmark::State& state, const char* scenario_name, NodeId n,
   }
   const scenario::RunResult serial = scenario::run(*s, n, s->default_seed);
   scenario::RunResult result;
-  scenario::ShardStats stats;
   for (auto _ : state) {
-    result = scenario::run_sharded(*s, n, s->default_seed, ranks, 0.0, 0,
-                                   &stats);
+    result = scenario::run(*s, n, s->default_seed, {.ranks = ranks});
     benchmark::DoNotOptimize(result.digest);
   }
+  const scenario::ShardStats& stats = result.shard;
   if (result.digest != serial.digest ||
       !(result.metrics == serial.metrics)) {
     state.SkipWithError("sharded and serial runs diverged");
@@ -70,7 +68,7 @@ void BM_Sharded(benchmark::State& state, const char* scenario_name, NodeId n,
           : static_cast<double>(stats.wire_bytes) /
                 static_cast<double>(stats.boundary_edges));
   state.counters["rounds"] =
-      benchmark::Counter(static_cast<double>(stats.rounds));
+      benchmark::Counter(static_cast<double>(result.metrics.rounds));
   state.SetLabel(result.completed ? "completed" : "capped");
 }
 

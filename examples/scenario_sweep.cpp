@@ -14,14 +14,17 @@
 //   $ ./example_scenario_sweep 4 --n=16384 --scenario=global/sum/bcast/iclique
 //   $ ./example_scenario_sweep --scenario=load/poisson/resv/ring --load=0.9
 //   $ ./example_scenario_sweep --ranks=4 --scenario=global/min/rand/ring
+//   $ ./example_scenario_sweep 2 --ranks=2     # 2 threads inside each rank
 //
+// Every row is one scenario::run call; the flags fill its RunConfig.
 // --ranks=K runs the synchronous rows sharded over K OS processes
-// (scenario/rank_run.hpp): each rank builds only its node window and the
-// rows — digest included — are bit-identical to the serial table's, which
-// is exactly what the CI serial-vs-sharded diff pins.  Rank mode is
-// synchronous-only, so the @async section is skipped, as are the two-phase
-// fault-recovery scenarios; it composes with --n/--load/--faults but not
-// with a thread count (one process per rank, serial inside).
+// (sim/rank.hpp): each rank builds only its node window and the rows —
+// digest included — are bit-identical to the serial table's, which is
+// exactly what the CI serial-vs-sharded diff pins.  Rank mode is
+// synchronous-only, so the @async section is skipped; the two-phase
+// fault-recovery scenarios are skipped in a whole-table sweep, and naming
+// one with --scenario= exits non-zero.  It composes with a thread count
+// and with --n/--load/--faults.
 //
 // --n is STRICT: a size the topology family does not admit (a non-power-of-
 // two hypercube, a non-square grid) exits non-zero instead of silently
@@ -43,14 +46,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
+#include <type_traits>
 
 #include "graph/generators.hpp"
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
 #include "sim/channel_discipline.hpp"
-#include "sim/scheduler.hpp"
 
 namespace {
 
@@ -87,6 +90,28 @@ bool validate_registry(const std::deque<mmn::scenario::Scenario>& scenarios) {
   return ok;
 }
 
+/// Strict numeric argument: all of `text` must parse, unsigned, into
+/// [lo, hi] — an out-of-range value fails instead of truncating into a
+/// different value than the caller asked for.
+template <typename T>
+bool parse_arg(const char* text, T lo, T hi, T& out) {
+  char* end = nullptr;
+  errno = 0;
+  const auto v = [&] {
+    if constexpr (std::is_floating_point_v<T>) {
+      return std::strtod(text, &end);
+    } else {
+      return std::strtoull(text, &end, 10);
+    }
+  }();
+  if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-' ||
+      !(v >= lo && v <= hi)) {
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
 void print_row(const mmn::scenario::Scenario& s, const char* suffix,
                const mmn::scenario::RunResult& r) {
   std::printf("%-30s %-9s %-11s %8u %10llu %12llu %18llx",
@@ -110,75 +135,42 @@ void print_row(const mmn::scenario::Scenario& s, const char* suffix,
 
 int main(int argc, char** argv) {
   using namespace mmn;
-  unsigned threads = 1;
-  NodeId requested_n = 0;  // 0 = each scenario's smallest sweep size
-  double load = 0.0;       // 0 = each load scenario's default_load
-  unsigned faults = 0;     // 0 = each fault scenario's default_faults
-  unsigned ranks = 1;      // 1 = in-process serial/parallel run
-  std::string only;        // empty = every scenario
+  scenario::RunConfig config;  // threads, ranks, load, faults from the flags
+  NodeId requested_n = 0;      // 0 = each scenario's smallest sweep size
+  std::string only;            // empty = every scenario
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--n=", 4) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(arg + 4, &end, 10);
-      // Strict parse: out-of-range values must fail, not truncate into a
-      // different (smaller) size than the caller asked for.
-      if (end == arg + 4 || *end != '\0' || errno == ERANGE || n < 1 ||
-          n > 0xFFFFFFFFull || arg[4] == '-') {
-        std::fprintf(stderr, "bad --n value: %s\n", arg + 4);
-        return 2;
-      }
-      requested_n = static_cast<NodeId>(n);
-    } else if (std::strncmp(arg, "--load=", 7) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const double parsed = std::strtod(arg + 7, &end);
-      if (end == arg + 7 || *end != '\0' || errno == ERANGE ||
-          !(parsed > 0.0) || parsed > 64.0) {
-        std::fprintf(stderr, "bad --load value: %s\n", arg + 7);
-        return 2;
-      }
-      load = parsed;
-    } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(arg + 9, &end, 10);
-      if (end == arg + 9 || *end != '\0' || errno == ERANGE || parsed < 1 ||
-          parsed > 4096 || arg[9] == '-') {
-        std::fprintf(stderr, "bad --faults value: %s\n", arg + 9);
-        return 2;
-      }
-      faults = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(arg, "--ranks=", 8) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(arg + 8, &end, 10);
-      if (end == arg + 8 || *end != '\0' || errno == ERANGE || parsed < 1 ||
-          parsed > 64 || arg[8] == '-') {
-        std::fprintf(stderr, "bad --ranks value: %s\n", arg + 8);
-        return 2;
-      }
-      ranks = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(arg, "--scenario=", 11) == 0) {
-      only = arg + 11;
-    } else {
-      char* end = nullptr;
-      const long parsed = std::strtol(arg, &end, 10);
-      if (end == arg || *end != '\0' || parsed < 1 || parsed > 256) {
-        std::fprintf(stderr,
-                     "usage: %s [threads: 1..256] [--n=N] [--load=L] "
-                     "[--faults=K] [--scenario=NAME]\n",
-                     argv[0]);
-        return 2;
-      }
-      threads = static_cast<unsigned>(parsed);
+    const auto flag = [arg](const char* name) {
+      return std::strncmp(arg, name, std::strlen(name)) == 0
+                 ? arg + std::strlen(name)
+                 : nullptr;
+    };
+    const char* v = nullptr;
+    bool ok = true;
+    if ((v = flag("--n=")) != nullptr) {
+      ok = parse_arg<NodeId>(v, 1, std::numeric_limits<NodeId>::max(),
+                             requested_n);
+    } else if ((v = flag("--load=")) != nullptr) {
+      ok = parse_arg(v, std::numeric_limits<double>::min(), 64.0,
+                     config.load);
+    } else if ((v = flag("--faults=")) != nullptr) {
+      ok = parse_arg<std::uint32_t>(v, 1, 4096, config.faults);
+    } else if ((v = flag("--ranks=")) != nullptr) {
+      ok = parse_arg(v, 1u, 64u, config.ranks);
+    } else if ((v = flag("--scenario=")) != nullptr) {
+      only = v;
+    } else if (!parse_arg(arg, 1u, 256u, config.threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [threads: 1..256] [--n=N] [--load=L] "
+                   "[--faults=K] [--ranks=K] [--scenario=NAME]\n",
+                   argv[0]);
+      return 2;
     }
-  }
-  if (ranks > 1 && threads > 1) {
-    std::fprintf(stderr, "--ranks runs one serial process per rank; it does "
-                         "not compose with a thread count\n");
-    return 2;
+    if (!ok) {
+      std::fprintf(stderr, "bad %.*s value: %s\n",
+                   static_cast<int>(v - arg - 1), arg, v);
+      return 2;
+    }
   }
 
   scenario::register_builtin();
@@ -188,102 +180,82 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no such scenario: %s\n", only.c_str());
     return 1;
   }
-  // Strict size check up front: with an explicit --n every selected
-  // scenario's topology must admit exactly that n — no silent clamping.
-  if (requested_n != 0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!topology_valid_n(s.topology, requested_n)) {
-        std::fprintf(stderr,
-                     "%s: topology '%s' does not admit n=%u (nearest "
-                     "supported: %u)\n",
-                     s.name.c_str(), topology_name(s.topology), requested_n,
-                     topology_round_n(s.topology, requested_n));
-        ok = false;
-      }
+  // Strict up front: a flag a selected scenario cannot take exits non-zero
+  // instead of silently running without it — an --n the topology family
+  // does not admit (no clamping), --load on a closed-loop protocol,
+  // --faults on a scenario without a fault plan, --ranks on a named
+  // recovery scenario.
+  bool ok = true;
+  for (const auto& s : scenarios) {
+    if (!only.empty() && s.name != only) continue;
+    if (requested_n != 0 && !topology_valid_n(s.topology, requested_n)) {
+      std::fprintf(stderr,
+                   "%s: topology '%s' does not admit n=%u (nearest "
+                   "supported: %u)\n",
+                   s.name.c_str(), topology_name(s.topology), requested_n,
+                   topology_round_n(s.topology, requested_n));
+      ok = false;
     }
-    if (!ok) return 1;
-  }
-  // --load only means something to load-capable scenarios; running a
-  // closed-loop protocol "at load 0.7" would silently ignore the flag.
-  if (load > 0.0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!s.make_load_factory) {
-        std::fprintf(stderr, "%s is not load-capable; --load needs the "
-                     "open-loop load/ scenarios\n", s.name.c_str());
-        ok = false;
-      }
+    if (config.load > 0.0 && s.open_loop() == nullptr) {
+      std::fprintf(stderr, "%s is not load-capable; --load needs the "
+                   "open-loop load/ scenarios\n", s.name.c_str());
+      ok = false;
     }
-    if (!ok) return 1;
-  }
-  // Same strictness for --faults: an intensity named against a scenario
-  // without a fault plan would silently run fault-free.
-  if (faults > 0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!s.make_fault_plan) {
-        std::fprintf(stderr, "%s is not fault-capable; --faults needs the "
-                     "fault/ scenarios\n", s.name.c_str());
-        ok = false;
-      }
+    if (config.faults > 0 && !s.make_fault_plan) {
+      std::fprintf(stderr, "%s is not fault-capable; --faults needs the "
+                   "fault/ scenarios\n", s.name.c_str());
+      ok = false;
     }
-    if (!ok) return 1;
+    if (config.ranks > 1 && !only.empty() && s.recovery()) {
+      std::fprintf(stderr, "%s re-partitions mid-run (two-phase recovery); "
+                   "it does not run under --ranks\n", s.name.c_str());
+      ok = false;
+    }
   }
+  if (!ok) return 1;
 
   std::size_t selected = 0;
   for (const auto& s : scenarios) selected += only.empty() || s.name == only;
-  if (ranks > 1) {
+  const char* scheduler = config.threads > 1 ? "parallel" : "serial";
+  if (config.ranks > 1) {
     std::printf("%zu scenario(s) selected of %zu registered; %u rank "
-                "processes\n\n",
-                selected, scenarios.size(), ranks);
+                "processes, scheduler: %s\n\n",
+                selected, scenarios.size(), config.ranks, scheduler);
   } else {
     std::printf("%zu scenario(s) selected of %zu registered; scheduler: "
                 "%s\n\n",
-                selected, scenarios.size(),
-                threads > 1 ? "parallel" : "serial");
+                selected, scenarios.size(), scheduler);
   }
   std::printf("%-30s %-9s %-11s %8s %10s %12s %18s\n", "scenario", "topology",
               "discipline", "n", "rounds", "msgs", "digest");
   for (const auto& s : scenarios) {
     if (!only.empty() && s.name != only) continue;
-    const NodeId n = requested_n != 0 ? requested_n : s.sweep_n.front();
-    if (ranks > 1 && s.fault_recovery) {
+    if (config.ranks > 1 && s.recovery()) {
       // The two-phase epoch rebuild re-runs on a compacted graph the rank
-      // windows were not cut for; recovery rows stay serial-only.
-      std::fprintf(stderr, "%s: fault-recovery scenarios run serial only; "
-                           "skipped under --ranks\n", s.name.c_str());
+      // windows were not cut for; recovery rows stay single-process.
+      std::fprintf(stderr, "%s: fault-recovery scenarios run in one process "
+                           "only; skipped under --ranks\n", s.name.c_str());
       continue;
     }
-    const scenario::RunResult r =
-        ranks > 1
-            ? scenario::run_sharded(s, n, s.default_seed, ranks, load, faults)
-            : scenario::run(s, n, s.default_seed,
-                            threads > 1 ? sim::make_scheduler(threads)
-                                        : nullptr,
-                            scenario::EngineKind::kSync, load, faults);
-    print_row(s, "", r);
+    const NodeId n = requested_n != 0 ? requested_n : s.sweep_n.front();
+    print_row(s, "", scenario::run(s, n, s.default_seed, config));
   }
   // The asynchronous engine runs channel-free workloads (through the
   // busy-tone synchronizer) and the open-loop load scenarios (natively, no
   // synchronizer); rounds are channel slots there.  Rank mode is
   // synchronous-only, so the section is skipped under --ranks.
+  scenario::RunConfig async = config;
+  async.engine = scenario::EngineKind::kAsync;
   for (const auto& s : scenarios) {
-    if (ranks > 1) break;
-    if (!s.channel_free && !s.make_async_load_factory) continue;
+    if (config.ranks > 1) break;
+    if (!s.channel_free && s.open_loop() == nullptr) continue;
     if (!only.empty() && s.name != only) continue;
     const NodeId n = requested_n != 0 ? requested_n : s.sweep_n.front();
-    const scenario::RunResult r = scenario::run(
-        s, n, s.default_seed,
-        threads > 1 ? sim::make_scheduler(threads) : nullptr,
-        scenario::EngineKind::kAsync, load, faults);
+    const scenario::RunResult r = scenario::run(s, n, s.default_seed, async);
     // Synchronizer-path protocols must terminate; an open-loop run capped
     // mid-livelock (free-for-all past saturation) is a valid, deterministic
     // row — the backlog is the result.
-    if (!r.completed && !s.make_async_load_factory) {
+    if (!r.completed && s.open_loop() == nullptr) {
       std::fprintf(stderr, "%s@async hit the slot cap without terminating\n",
                    s.name.c_str());
       return 1;

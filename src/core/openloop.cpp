@@ -164,7 +164,7 @@ void AsyncOpenLoopProcess::on_slot(const sim::SlotObservation& obs,
   }
 }
 
-// ---- factories and the end-to-end helper -----------------------------------
+// ---- factories and the digest ----------------------------------------------
 
 sim::ProcessFactory make_open_loop_factory(const OpenLoopConfig& config) {
   return [config](const sim::LocalView& view) {
@@ -187,68 +187,6 @@ std::uint64_t open_loop_digest(
     h = fnv_mix(h, at(begin + i).digest_word());
   }
   return h;
-}
-
-LoadReport run_open_loop(const Graph& g, const OpenLoopConfig& config,
-                         sim::DisciplineKind discipline, std::uint64_t seed,
-                         std::unique_ptr<sim::Scheduler> scheduler,
-                         const sim::FaultPlan* faults) {
-  sim::Engine engine(
-      g, make_open_loop_factory(config), seed, std::move(scheduler),
-      sim::make_discipline(discipline, sim::UnslottedConfig{}, seed));
-  if (faults != nullptr) engine.install_faults(*faults);
-  // Generation plus a bounded drain window: a saturated stabilized lane
-  // drains at ~1/e packets per slot, so 8x the horizon covers offered loads
-  // well past capacity.  Free-for-all under contention never drains (two
-  // backlogged stations re-collide every slot); its runs cut off once
-  // generation stops, with the livelocked backlog on the books.
-  const std::uint64_t budget = config.horizon * 8 + 4096;
-  LoadReport report;
-  report.quiescent = engine.step(budget);
-  report.metrics = engine.metrics();
-  report.slots = engine.metrics().rounds;
-  report.digest = open_loop_digest(
-      engine.num_nodes(), [&engine](NodeId v) -> const OpenLoopStats& {
-        return static_cast<const OpenLoopProcess&>(engine.process(v));
-      });
-  for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-    report.classes[c] = engine.latency().summary(static_cast<sim::QosClass>(c));
-  }
-  std::uint64_t arrivals_total = 0;
-  std::uint64_t delivered_total = 0;
-  for (NodeId v = 0; v < engine.num_nodes(); ++v) {
-    const auto& p = static_cast<const OpenLoopProcess&>(engine.process(v));
-    for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-      arrivals_total += p.counters().arrivals[c];
-      delivered_total += p.counters().delivered[c];
-    }
-  }
-  report.degradation.delivered_ratio =
-      arrivals_total == 0 ? 1.0
-                          : static_cast<double>(delivered_total) /
-                                static_cast<double>(arrivals_total);
-  if (engine.faults() != nullptr) {
-    sim::FaultStats stats = engine.faults()->stats();
-    // Backlog sitting in a station that is still crashed at run end is
-    // orphaned: those packets ride neither the livelock books nor the
-    // goodput — the crash ate them.  Report-level accounting: the engine
-    // never reaches into station state.
-    const EpochOverlay& overlay = engine.faults()->overlay();
-    for (NodeId v = 0; v < engine.num_nodes(); ++v) {
-      if (overlay.node_alive(v)) continue;
-      const auto& p = static_cast<const OpenLoopProcess&>(engine.process(v));
-      for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-        stats.orphaned_pkts += p.backlog(static_cast<sim::QosClass>(c));
-      }
-    }
-    report.degradation.faults = stats;
-    // The fault trajectory participates in the run's identity: fold the
-    // degradation counters into the digest so scheduler-equivalence checks
-    // cover them too.
-    report.digest =
-        (report.digest ^ stats.digest_word()) * 0x100000001b3ULL;
-  }
-  return report;
 }
 
 }  // namespace mmn

@@ -39,7 +39,6 @@
 
 #include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
 #include "sim/traffic.hpp"
 
 namespace mmn {
@@ -245,52 +244,10 @@ sim::AsyncProcessFactory make_open_loop_async_factory(
 
 /// Node-major FNV-1a fold over stations [begin, begin + n), starting the
 /// accumulator at h0.  The defaults fold the whole run from the offset
-/// basis; rank mode (scenario/rank_run.hpp) chains per-window folds through
-/// h0 to reproduce the serial digest bit for bit.
+/// basis; a sharded scenario::run chains per-window folds through h0 to
+/// reproduce the serial digest bit for bit.
 std::uint64_t open_loop_digest(
     NodeId n, const std::function<const OpenLoopStats&(NodeId)>& at,
     NodeId begin = 0, std::uint64_t h0 = 0xcbf29ce484222325ULL);
-
-/// One synchronous open-loop run end to end, for benches and tests: builds
-/// the engine over `g` under the given discipline and scheduler (null =
-/// serial), runs the horizon plus a bounded drain window, and reports model
-/// metrics, the per-node digest, and the merged per-class summaries.
-///
-/// `quiescent` is the engine's own completion verdict within the budget.
-/// Under a deferring discipline (stabilized/reservation) it means the
-/// backlog fully drained.  Under free-for-all the engine cannot see
-/// station-side backlog — two simultaneously backlogged stations re-collide
-/// every slot forever, and the run cuts off right after the horizon with
-/// the livelocked backlog standing (classes[c].backlog() reports it); the
-/// load sweep is designed to expose exactly that curve.
-/// Degradation section of a faulted load run (zeroed when no plan is
-/// installed): the run's FaultStats plus the report-level orphan count —
-/// the backlog stranded in stations still crashed at run end, which is
-/// excluded from livelock interpretation (those packets are lost to the
-/// crash, not waiting on the channel).
-struct LoadDegradation {
-  sim::FaultStats faults;
-  /// Delivered / arrivals over the whole run, all classes (1.0 when no
-  /// packet was ever generated).  The churn bench publishes the ratio of
-  /// this value between a churned and a clean run as goodput_retention.
-  double delivered_ratio = 1.0;
-};
-
-struct LoadReport {
-  Metrics metrics;
-  std::uint64_t digest = 0;
-  std::uint64_t slots = 0;  ///< slots actually executed (= metrics.rounds)
-  bool quiescent = false;
-  std::array<sim::QosSummary, sim::kNumQosClasses> classes{};
-  LoadDegradation degradation;
-};
-
-/// `faults` installs a deterministic fault plan on the engine (null = the
-/// fault-free fast path); the report's degradation section and digest then
-/// cover the fault trajectory too.
-LoadReport run_open_loop(const Graph& g, const OpenLoopConfig& config,
-                         sim::DisciplineKind discipline, std::uint64_t seed,
-                         std::unique_ptr<sim::Scheduler> scheduler = nullptr,
-                         const sim::FaultPlan* faults = nullptr);
 
 }  // namespace mmn

@@ -1,7 +1,6 @@
 #include "scenario/registry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -9,14 +8,11 @@
 #include "baselines/p2p_global.hpp"
 #include "core/anonymous.hpp"
 #include "core/global_function.hpp"
-#include "core/openloop.hpp"
 #include "core/mst.hpp"
 #include "core/partition_det.hpp"
 #include "core/partition_rand.hpp"
 #include "core/size.hpp"
-#include "core/synchronizer.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
 #include "support/check.hpp"
 
 namespace mmn::scenario {
@@ -41,182 +37,93 @@ const Scenario* Registry::find(std::string_view name) const {
   return nullptr;
 }
 
+const OpenLoopConfig* Scenario::open_loop() const {
+  const auto* kind = std::get_if<OpenLoop>(&workload);
+  return kind != nullptr ? &kind->config : nullptr;
+}
+
+sim::AsyncProcessFactory Scenario::make_async_load_factory(const Graph&,
+                                                           double load) const {
+  const OpenLoopConfig* base = open_loop();
+  MMN_REQUIRE(base != nullptr, "scenario is not an open-loop workload");
+  OpenLoopConfig c = *base;
+  c.offered = load;
+  return make_open_loop_async_factory(c);
+}
+
 Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed) {
   return build_topology(
       TopologySpec{s.topology, topology_round_n(s.topology, n), seed});
 }
 
-RunResult run(const Scenario& s, NodeId n, std::uint64_t seed,
-              std::unique_ptr<sim::Scheduler> scheduler, EngineKind engine,
-              double load, std::uint32_t faults) {
-  MMN_REQUIRE(load == 0.0 || s.make_load_factory != nullptr,
-              "scenario is not load-capable (no make_load_factory)");
-  MMN_REQUIRE(faults == 0 || s.make_fault_plan != nullptr,
-              "scenario is not fault-capable (no make_fault_plan)");
-  const Graph g = make_scenario_graph(s, n, seed);
-  RunResult result;
-  result.realized_n = g.num_nodes();
-  // The run seed also feeds the discipline's own lottery stream (the
-  // stabilized-Aloha kinds; the others ignore it — see make_discipline).
-  const double offered = load > 0.0 ? load : s.default_load;
-  const std::uint32_t intensity = faults > 0 ? faults : s.default_faults;
-  sim::FaultPlan plan;
-  if (intensity > 0 && s.make_fault_plan) {
-    plan = s.make_fault_plan(g, intensity, seed);
-  }
-  const bool faulted = !plan.empty();
-
-  if (faulted && s.fault_recovery) {
-    // Two-phase recovery flow.  Phase A steps the protocol serially into
-    // the fault: the round where the kills land runs with in-flight traffic
-    // hitting dead links (dropped and counted), and one round beyond would
-    // start violating the protocol's own invariants — the paper's
-    // deterministic protocols assume reliable links, so the recovery
-    // mechanism is the epoch rebuild, not in-protocol loss tolerance.  The
-    // epoch overlay then compacts the surviving topology into a fresh arena
-    // and phase B re-runs the protocol from scratch on it under the
-    // caller's scheduler; the slots between the fault and the configured
-    // epoch boundary model the detection/rebuild window and bill into
-    // recovery_slots.  The recovery digest folds phase B's protocol result
-    // with the overlay's kill-set word — both are invariant to where the
-    // epoch boundary lands (any boundary past the last fault event yields
-    // the same compacted graph), so recovery runs pin re-convergence
-    // without being sensitive to drop timing.
-    MMN_REQUIRE(engine == EngineKind::kSync,
-                "fault-recovery scenarios run on the synchronous engine");
-    MMN_REQUIRE(s.fault_epoch_slots > 0,
-                "fault-recovery scenarios need fault_epoch_slots");
-    std::uint64_t last_fault = 0;
-    for (const sim::FaultEvent& e : plan.events()) {
-      last_fault = std::max(last_fault, e.slot);
-    }
-    MMN_REQUIRE(s.fault_epoch_slots > last_fault,
-                "the epoch boundary must fall after the last fault event");
-    sim::Engine wounded(g, s.make_factory(g), seed, nullptr,
-                        sim::make_discipline(s.discipline,
-                                             sim::UnslottedConfig{}, seed));
-    wounded.install_faults(plan);
-    wounded.step(last_fault + 1);
-    EpochOverlay& overlay = wounded.faults()->overlay();
-    const EpochOverlay::Compaction compaction = overlay.compact();
-    const Graph& g2 = compaction.graph;
-    sim::Engine eng(g2, s.make_factory(g2), seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    result.faults = wounded.faults()->stats();
-    const std::uint64_t first = plan.first_fault_slot();
-    const std::uint64_t phase_a =
-        s.fault_epoch_slots > first ? s.fault_epoch_slots - first : 0;
-    result.recovery_slots = phase_a + eng.metrics().rounds;
-    result.faults.recovery_slots = result.recovery_slots;
-    if (s.digest) {
-      result.digest = digest_mix(
-          s.digest(NodeResults{g2.num_nodes(),
-                               [&eng](NodeId v) -> const sim::Process& {
-                                 return eng.process(v);
-                               }}),
-          overlay.digest_word());
-    }
-    return result;
-  }
-
-  if (engine == EngineKind::kSync) {
-    sim::Engine eng(g,
-                    s.make_load_factory ? s.make_load_factory(g, offered)
-                                        : s.make_factory(g),
-                    seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    if (faulted) eng.install_faults(plan);
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(),
-          [&eng](NodeId v) -> const sim::Process& { return eng.process(v); }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      // The fault trajectory is part of the run's identity: fold it so the
-      // scheduler-equivalence suites cover drop accounting too.
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  if (s.make_async_load_factory) {
-    // Native asynchronous open-loop path: the stations are AsyncProcesses
-    // driven by the AsyncEngine directly, no synchronizer in between —
-    // deferring disciplines are fine because open-loop stations never read
-    // an idle slot as information.
-    sim::AsyncEngine eng(g, s.make_async_load_factory(g, offered), seed,
-                         s.async_max_delay_slots, std::move(scheduler),
-                         sim::make_discipline(s.discipline,
-                                              sim::UnslottedConfig{}, seed));
-    if (faulted) eng.install_faults(plan);
-    result.metrics = eng.run(s.max_rounds);
-    result.status = eng.status();
-    result.completed = result.status == sim::RunStatus::kCompleted;
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(), nullptr,
-          [&eng](NodeId v) -> const sim::AsyncProcess& {
-            return eng.process(v);
-          }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  MMN_REQUIRE(!faulted,
-              "fault injection is not supported on the synchronizer path");
-  MMN_REQUIRE(s.channel_free,
-              "scenario uses the channel and cannot run under the "
-              "synchronizer on the asynchronous engine");
-  std::unique_ptr<sim::ChannelDiscipline> discipline =
-      sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed);
-  MMN_REQUIRE(!discipline->defers(),
-              "a deferring discipline would falsify the synchronizer's "
-              "idle-slot pulses on the asynchronous engine");
-  sim::AsyncEngine eng(g, synchronize(s.make_factory(g)), seed,
-                       s.async_max_delay_slots, std::move(scheduler),
-                       std::move(discipline));
-  result.metrics = eng.run(s.max_rounds);
-  result.status = eng.status();
-  result.completed = result.status == sim::RunStatus::kCompleted;
-  if (s.digest && result.completed) {
-    result.digest = s.digest(NodeResults{
-        g.num_nodes(), [&eng](NodeId v) -> const sim::Process& {
-          return static_cast<const SynchronizerProcess&>(eng.process(v))
-              .inner();
-        }});
-  }
-  return result;
-}
-
 namespace {
 
+using MakeFactory = std::function<sim::ProcessFactory(const Graph&)>;
+
+/// make_factory for processes built as P(view, args...).
+template <typename P, typename... Args>
+MakeFactory factory(Args... args) {
+  return [args...](const Graph&) -> sim::ProcessFactory {
+    return [args...](const sim::LocalView& v) {
+      return std::make_unique<P>(v, args...);
+    };
+  };
+}
+
+/// As factory(), with the node's input value last: P(view, args...,
+/// input(self)).
+template <typename P, typename... Args>
+MakeFactory valued(sim::Word (*input)(NodeId), Args... args) {
+  return [input, args...](const Graph&) -> sim::ProcessFactory {
+    return [input, args...](const sim::LocalView& v) {
+      return std::make_unique<P>(v, args..., input(v.self));
+    };
+  };
+}
+
+sim::Word id_plus_one(NodeId v) { return static_cast<sim::Word>(v) + 1; }
+
 /// Folds one word per node, node-major — deterministic and comparable
-/// across schedulers and engines because node iteration order is fixed.
+/// across schedulers, ranks and engines because node order is fixed.
 template <typename PerNode>
 std::uint64_t fold_nodes(const NodeResults& results, PerNode&& per_node) {
   std::uint64_t h = results.h0;  // kDigestSeed unless a rank chained into us
   for (NodeId i = 0; i < results.n; ++i) {
-    const NodeId v = results.begin + i;
-    h = digest_mix(h, per_node(results.at(v), v));
+    h = digest_mix(h, per_node(results.at(results.begin + i)));
   }
   return h;
+}
+
+/// Digest of every node's P::result().
+template <typename P>
+std::uint64_t result_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p) {
+    return static_cast<std::uint64_t>(dynamic_cast<const P&>(p).result());
+  });
+}
+
+std::uint64_t size_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p) {
+    return dynamic_cast<const DeterministicSizeProcess&>(p).network_size();
+  });
+}
+
+std::uint64_t mst_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p) {
+    std::vector<EdgeId> edges = dynamic_cast<const MstProcess&>(p).mst_edges();
+    std::sort(edges.begin(), edges.end());
+    std::uint64_t h = kDigestSeed;
+    for (EdgeId e : edges) h = digest_mix(h, e);
+    return h;
+  });
+}
+
+std::uint64_t fragment_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p) {
+    const auto& f = dynamic_cast<const FragmentState&>(p);
+    return digest_mix(f.fragment_id(),
+                      static_cast<std::uint64_t>(f.tree_parent_edge()) + 1);
+  });
 }
 
 /// Engine-generic open-loop digest: side-casts whichever process handle the
@@ -236,225 +143,99 @@ std::uint64_t load_digest(const NodeResults& results) {
       results.begin, results.h0);
 }
 
-std::uint64_t fragment_digest(const NodeResults& results) {
-  return fold_nodes(results, [](const sim::Process& p, NodeId) {
-    const auto& f = dynamic_cast<const FragmentState&>(p);
-    return digest_mix(f.fragment_id(),
-                      static_cast<std::uint64_t>(f.tree_parent_edge()) + 1);
-  });
+/// k connectivity-safe link kills at slot 24: the recovery entries' plan.
+sim::FaultPlan kill_links(const Graph& g, std::uint32_t k, std::uint64_t seed) {
+  return sim::FaultPlan::link_kills(g, k, /*slot=*/24, seed);
 }
 
 void register_all() {
   Registry& r = Registry::instance();
+  const GlobalFunctionConfig det_min{
+      .op = SemigroupOp::kMin,
+      .variant = GlobalFunctionConfig::Variant::kDeterministic};
+  const GlobalFunctionConfig rand_min{
+      .op = SemigroupOp::kMin,
+      .variant = GlobalFunctionConfig::Variant::kRandomized};
 
-  r.add(Scenario{
-      "partition/det/random",
-      "Section 3 deterministic partition on a random connected graph",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionDetProcess>(v,
-                                                       PartitionDetConfig{});
-        };
-      },
-      fragment_digest,
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "partition/rand/random",
-      "Section 4 randomized partition on a random connected graph",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionRandProcess>(v,
-                                                        PartitionRandConfig{});
-        };
-      },
-      fragment_digest,
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "partition/anon/random",
-      "Section 7.4 partition with unknown n and anonymous nodes",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<AnonymousPartitionProcess>(v);
-        };
-      },
-      fragment_digest,
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "mst/random",
-      "Section 6 multimedia MST on a random connected graph",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<MstProcess>(v);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          const auto& mst = dynamic_cast<const MstProcess&>(p);
-          std::vector<EdgeId> edges = mst.mst_edges();
-          std::sort(edges.begin(), edges.end());
-          std::uint64_t h = kDigestSeed;
-          for (EdgeId e : edges) h = digest_mix(h, e);
-          return h;
-        });
-      },
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "global/min/det/random",
-      "Section 5 deterministic global min on a random connected graph",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kDeterministic;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "global/min/rand/ring",
-      "Section 5 randomized global min on a ring",
-      TopoKind::kRing,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kRandomized;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
-      {256, 1024, 4096},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "global/sum/bcast/complete",
-      "Channel-only TDMA baseline folding a sum on a complete graph",
-      TopoKind::kComplete,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<BroadcastGlobalProcess>(
-              v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
-      {64, 128},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "global/max/tdma/ring",
-      "TDMA channel discipline folding a max on a sparse ring",
-      TopoKind::kRing,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<BroadcastGlobalProcess>(
-              v, SemigroupOp::kMax, static_cast<sim::Word>(v.self % 17) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
-      {64, 128},
-      7,
-      200'000'000});
-
-  {
-    Scenario grid_min{
-        "global/min/p2p/grid",
-        "Pure point-to-point baseline folding a min on a square grid",
-        TopoKind::kGrid,
-        [](const Graph&) -> sim::ProcessFactory {
-          P2pGlobalConfig config;
-          config.op = SemigroupOp::kMin;
-          return [config](const sim::LocalView& v) {
-            return std::make_unique<P2pGlobalProcess>(
-                v, config, static_cast<sim::Word>(v.self) + 1);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
-        {64, 256},
-        7,
-        200'000'000};
-    grid_min.channel_free = true;  // no channel use: async-capable
-    r.add(std::move(grid_min));
-  }
-
-  {
-    Scenario cube_sum{
-        "global/sum/p2p/hypercube",
-        "Pure point-to-point sum on an iPSC-style hypercube",
-        TopoKind::kHypercube,
-        [](const Graph& g) -> sim::ProcessFactory {
-          P2pGlobalConfig config;
-          config.op = SemigroupOp::kSum;
-          std::uint32_t dim = 0;
-          while ((NodeId{1} << dim) < g.num_nodes()) ++dim;
-          config.known_diameter = dim;
-          return [config](const sim::LocalView& v) {
-            return std::make_unique<P2pGlobalProcess>(
-                v, config, static_cast<sim::Word>(v.self) + 1);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
-        {64, 256},
-        7,
-        200'000'000};
-    cube_sum.channel_free = true;  // no channel use: async-capable
-    cube_sum.async_max_delay_slots = 2;  // messages straddle slot boundaries
-    r.add(std::move(cube_sum));
-  }
+  r.add({.name = "partition/det/random",
+         .description =
+             "Section 3 deterministic partition on a random connected graph",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<PartitionDetProcess>(PartitionDetConfig{}),
+         .digest = fragment_digest,
+         .sweep_n = {64, 256}});
+  r.add({.name = "partition/rand/random",
+         .description =
+             "Section 4 randomized partition on a random connected graph",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<PartitionRandProcess>(PartitionRandConfig{}),
+         .digest = fragment_digest,
+         .sweep_n = {64, 256}});
+  r.add({.name = "partition/anon/random",
+         .description =
+             "Section 7.4 partition with unknown n and anonymous nodes",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<AnonymousPartitionProcess>(),
+         .digest = fragment_digest,
+         .sweep_n = {64, 256}});
+  r.add({.name = "mst/random",
+         .description = "Section 6 multimedia MST on a random connected graph",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<MstProcess>(),
+         .digest = mst_digest,
+         .sweep_n = {64, 256}});
+  r.add({.name = "global/min/det/random",
+         .description =
+             "Section 5 deterministic global min on a random connected graph",
+         .topology = TopoKind::kRandom,
+         .make_factory = valued<GlobalFunctionProcess>(id_plus_one, det_min),
+         .digest = result_digest<GlobalFunctionProcess>,
+         .sweep_n = {64, 256}});
+  r.add({.name = "global/min/rand/ring",
+         .description = "Section 5 randomized global min on a ring",
+         .topology = TopoKind::kRing,
+         .make_factory = valued<GlobalFunctionProcess>(id_plus_one, rand_min),
+         .digest = result_digest<GlobalFunctionProcess>,
+         .sweep_n = {256, 1024, 4096}});
+  r.add({.name = "global/sum/bcast/complete",
+         .description =
+             "Channel-only TDMA baseline folding a sum on a complete graph",
+         .topology = TopoKind::kComplete,
+         .make_factory =
+             valued<BroadcastGlobalProcess>(id_plus_one, SemigroupOp::kSum),
+         .digest = result_digest<BroadcastGlobalProcess>,
+         .sweep_n = {64, 128}});
+  r.add({.name = "global/max/tdma/ring",
+         .description = "TDMA channel discipline folding a max on a sparse ring",
+         .topology = TopoKind::kRing,
+         .make_factory = valued<BroadcastGlobalProcess>(
+             [](NodeId v) { return static_cast<sim::Word>(v % 17) + 1; },
+             SemigroupOp::kMax),
+         .digest = result_digest<BroadcastGlobalProcess>,
+         .sweep_n = {64, 128}});
+  r.add({.name = "global/min/p2p/grid",
+         .description =
+             "Pure point-to-point baseline folding a min on a square grid",
+         .topology = TopoKind::kGrid,
+         .make_factory = valued<P2pGlobalProcess>(
+             id_plus_one, P2pGlobalConfig{.op = SemigroupOp::kMin}),
+         .digest = result_digest<P2pGlobalProcess>,
+         .sweep_n = {64, 256},
+         .channel_free = true});  // no channel use: async-capable
+  r.add({.name = "global/sum/p2p/hypercube",
+         .description = "Pure point-to-point sum on an iPSC-style hypercube",
+         .topology = TopoKind::kHypercube,
+         .make_factory = [](const Graph& g) -> sim::ProcessFactory {
+           std::int32_t dim = 0;
+           while ((NodeId{1} << dim) < g.num_nodes()) ++dim;
+           return valued<P2pGlobalProcess>(
+               id_plus_one, P2pGlobalConfig{.op = SemigroupOp::kSum,
+                                            .known_diameter = dim})(g);
+         },
+         .digest = result_digest<P2pGlobalProcess>,
+         .sweep_n = {64, 256},
+         .channel_free = true,
+         .async_max_delay_slots = 2});  // messages straddle slot boundaries
 
   // ---- channel-discipline variants (sim/channel_discipline.hpp) ----------
   //
@@ -464,144 +245,66 @@ void register_all() {
   // protocols through the Section 7.2 busy-tone emulation, which preserves
   // every slot outcome while accounting emergent continuous time.
 
-  {
-    Scenario cape_max{
-        "global/max/cape/ring",
-        "Greedy contenders folding a max, scheduled by Capetanakis splitting",
-        TopoKind::kRing,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<ContentionGlobalProcess>(
-                v, SemigroupOp::kMax, static_cast<sim::Word>(v.self % 23) + 1);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const ContentionGlobalProcess&>(p).result());
-          });
-        },
-        {64, 128},
-        7,
-        200'000'000};
-    cape_max.discipline = sim::DisciplineKind::kCapetanakis;
-    r.add(std::move(cape_max));
-  }
-
-  {
-    Scenario tdma_sum{
-        "global/sum/tdma/grid",
-        "Greedy contenders folding a sum, serialized by the TDMA discipline",
-        TopoKind::kGrid,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<ContentionGlobalProcess>(
-                v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const ContentionGlobalProcess&>(p).result());
-          });
-        },
-        {64, 256},
-        7,
-        200'000'000};
-    tdma_sum.discipline = sim::DisciplineKind::kTdma;
-    r.add(std::move(tdma_sum));
-  }
-
-  {
-    Scenario unslotted_size{
-        "size/unslotted/clique",
-        "Exact network size on a clique over the unslotted busy-tone channel",
-        TopoKind::kComplete,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<DeterministicSizeProcess>(v);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return dynamic_cast<const DeterministicSizeProcess&>(p)
-                .network_size();
-          });
-        },
-        {48, 96},
-        7,
-        200'000'000};
-    unslotted_size.discipline = sim::DisciplineKind::kUnslotted;
-    r.add(std::move(unslotted_size));
-  }
-
-  {
-    Scenario unslotted_part{
-        "partition/det/unslotted/random",
-        "Section 3 partition driven over the unslotted busy-tone channel",
-        TopoKind::kRandom,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<PartitionDetProcess>(v,
-                                                         PartitionDetConfig{});
-          };
-        },
-        fragment_digest,
-        {64, 256},
-        7,
-        200'000'000};
-    unslotted_part.discipline = sim::DisciplineKind::kUnslotted;
-    r.add(std::move(unslotted_part));
-  }
-
-  {
-    Scenario unslotted_p2p{
-        "global/min/p2p/unslotted/grid",
-        "P2P min fold with the synchronizer's tones on the unslotted channel",
-        TopoKind::kGrid,
-        [](const Graph&) -> sim::ProcessFactory {
-          P2pGlobalConfig config;
-          config.op = SemigroupOp::kMin;
-          return [config](const sim::LocalView& v) {
-            return std::make_unique<P2pGlobalProcess>(
-                v, config, static_cast<sim::Word>(v.self) + 3);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
-        {64, 256},
-        7,
-        200'000'000};
-    // Channel-free workload: on the synchronous engine the unslotted
-    // discipline only idles, but the async run routes the synchronizer's
-    // busy tones through the emulation — the discipline-under-async case.
-    unslotted_p2p.channel_free = true;
-    unslotted_p2p.discipline = sim::DisciplineKind::kUnslotted;
-    r.add(std::move(unslotted_p2p));
-  }
-
-  r.add(Scenario{
-      "size/det/random",
-      "Section 7.3 exact network-size computation on a random graph",
-      TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<DeterministicSizeProcess>(v);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return dynamic_cast<const DeterministicSizeProcess&>(p)
-              .network_size();
-        });
-      },
-      {64, 256},
-      7,
-      200'000'000});
+  r.add({.name = "global/max/cape/ring",
+         .description =
+             "Greedy contenders folding a max, scheduled by Capetanakis "
+             "splitting",
+         .topology = TopoKind::kRing,
+         .make_factory = valued<ContentionGlobalProcess>(
+             [](NodeId v) { return static_cast<sim::Word>(v % 23) + 1; },
+             SemigroupOp::kMax),
+         .digest = result_digest<ContentionGlobalProcess>,
+         .sweep_n = {64, 128},
+         .discipline = sim::DisciplineKind::kCapetanakis});
+  r.add({.name = "global/sum/tdma/grid",
+         .description =
+             "Greedy contenders folding a sum, serialized by the TDMA "
+             "discipline",
+         .topology = TopoKind::kGrid,
+         .make_factory =
+             valued<ContentionGlobalProcess>(id_plus_one, SemigroupOp::kSum),
+         .digest = result_digest<ContentionGlobalProcess>,
+         .sweep_n = {64, 256},
+         .discipline = sim::DisciplineKind::kTdma});
+  r.add({.name = "size/unslotted/clique",
+         .description =
+             "Exact network size on a clique over the unslotted busy-tone "
+             "channel",
+         .topology = TopoKind::kComplete,
+         .make_factory = factory<DeterministicSizeProcess>(),
+         .digest = size_digest,
+         .sweep_n = {48, 96},
+         .discipline = sim::DisciplineKind::kUnslotted});
+  r.add({.name = "partition/det/unslotted/random",
+         .description =
+             "Section 3 partition driven over the unslotted busy-tone channel",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<PartitionDetProcess>(PartitionDetConfig{}),
+         .digest = fragment_digest,
+         .sweep_n = {64, 256},
+         .discipline = sim::DisciplineKind::kUnslotted});
+  // Channel-free workload: on the synchronous engine the unslotted
+  // discipline only idles, but the async run routes the synchronizer's busy
+  // tones through the emulation — the discipline-under-async case.
+  r.add({.name = "global/min/p2p/unslotted/grid",
+         .description =
+             "P2P min fold with the synchronizer's tones on the unslotted "
+             "channel",
+         .topology = TopoKind::kGrid,
+         .make_factory = valued<P2pGlobalProcess>(
+             [](NodeId v) { return static_cast<sim::Word>(v) + 3; },
+             P2pGlobalConfig{.op = SemigroupOp::kMin}),
+         .digest = result_digest<P2pGlobalProcess>,
+         .sweep_n = {64, 256},
+         .channel_free = true,
+         .discipline = sim::DisciplineKind::kUnslotted});
+  r.add({.name = "size/det/random",
+         .description =
+             "Section 7.3 exact network-size computation on a random graph",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<DeterministicSizeProcess>(),
+         .digest = size_digest,
+         .sweep_n = {64, 256}});
 
   // ---- lower-bound and implicit-topology entries -------------------------
   //
@@ -611,167 +314,91 @@ void register_all() {
   // Graph::implicit_complete — O(1) topology storage — which is what lets
   // the dense scenarios reach n = 16384 inside the CI memory ceiling.
 
-  r.add(Scenario{
-      "global/min/det/ray",
-      "Section 5 deterministic global min on the Theorem 2 ray graph",
-      TopoKind::kRay,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kDeterministic;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "partition/det/ray",
-      "Section 3 deterministic partition on the Theorem 2 ray graph",
-      TopoKind::kRay,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionDetProcess>(v,
-                                                       PartitionDetConfig{});
-        };
-      },
-      fragment_digest,
-      {64, 256},
-      7,
-      200'000'000});
-
-  r.add(Scenario{
-      "global/sum/bcast/iclique",
-      "Channel-only TDMA sum on an implicit (O(1)-storage) clique",
-      TopoKind::kCliqueImplicit,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<BroadcastGlobalProcess>(
-              v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
-      {64, 128},
-      7,
-      200'000'000});
-
-  {
-    Scenario iclique_size{
-        "size/unslotted/iclique",
-        "Exact network size on an implicit clique, unslotted busy-tone",
-        TopoKind::kCliqueImplicit,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<DeterministicSizeProcess>(v);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return dynamic_cast<const DeterministicSizeProcess&>(p)
-                .network_size();
-          });
-        },
-        {48, 96},
-        7,
-        200'000'000};
-    iclique_size.discipline = sim::DisciplineKind::kUnslotted;
-    r.add(std::move(iclique_size));
-  }
+  r.add({.name = "global/min/det/ray",
+         .description =
+             "Section 5 deterministic global min on the Theorem 2 ray graph",
+         .topology = TopoKind::kRay,
+         .make_factory = valued<GlobalFunctionProcess>(id_plus_one, det_min),
+         .digest = result_digest<GlobalFunctionProcess>,
+         .sweep_n = {64, 256}});
+  r.add({.name = "partition/det/ray",
+         .description =
+             "Section 3 deterministic partition on the Theorem 2 ray graph",
+         .topology = TopoKind::kRay,
+         .make_factory = factory<PartitionDetProcess>(PartitionDetConfig{}),
+         .digest = fragment_digest,
+         .sweep_n = {64, 256}});
+  r.add({.name = "global/sum/bcast/iclique",
+         .description =
+             "Channel-only TDMA sum on an implicit (O(1)-storage) clique",
+         .topology = TopoKind::kCliqueImplicit,
+         .make_factory =
+             valued<BroadcastGlobalProcess>(id_plus_one, SemigroupOp::kSum),
+         .digest = result_digest<BroadcastGlobalProcess>,
+         .sweep_n = {64, 128}});
+  r.add({.name = "size/unslotted/iclique",
+         .description =
+             "Exact network size on an implicit clique, unslotted busy-tone",
+         .topology = TopoKind::kCliqueImplicit,
+         .make_factory = factory<DeterministicSizeProcess>(),
+         .digest = size_digest,
+         .sweep_n = {48, 96},
+         .discipline = sim::DisciplineKind::kUnslotted});
 
   // ---- open-loop load family (core/openloop.hpp) -------------------------
   //
-  // Load-capable scenarios: every entry carries make_load_factory (so
-  // scenario_sweep --load= and bench_load_sweep can rebuild the stations at
-  // any offered load) plus the native-async variant, and its plain
-  // make_factory runs the stations at default_load for the legacy sweeps
-  // and the equivalence suites.  The free-for-all entry livelocks past
-  // saturation by design — two simultaneously backlogged stations
-  // re-collide every slot forever.  Its synchronous runs cut off right
-  // after the horizon (a non-deferring discipline holds no backlog the
-  // engine could see) and its native-async runs burn to the slot cap with
-  // completed == false; both cutoffs are deterministic, and the standing
-  // backlog is the result — the load-sweep story's baseline curve.
+  // Open-loop scenarios run on both engines at any offered load
+  // (scenario_sweep --load=, bench_load_sweep), falling back to their
+  // default_load.  The free-for-all entry livelocks past saturation by
+  // design — two simultaneously backlogged stations re-collide every slot
+  // forever.  Its synchronous runs cut off right after the horizon (a
+  // non-deferring discipline holds no backlog the engine could see) and its
+  // native-async runs burn to the slot cap with completed == false; both
+  // cutoffs are deterministic, and the standing backlog is the result — the
+  // load-sweep story's baseline curve.
 
-  const auto add_load = [&r](std::string name, std::string desc,
-                             TopoKind topo, sim::ArrivalKind arrivals,
-                             double default_load, sim::DisciplineKind disc,
-                             std::vector<NodeId> sweep) {
-    OpenLoopConfig base;
-    base.arrivals = arrivals;
-    base.horizon = 1200;
-    Scenario s;
-    s.name = std::move(name);
-    s.description = std::move(desc);
-    s.topology = topo;
-    s.make_factory = [base, default_load](const Graph&) {
-      OpenLoopConfig c = base;
-      c.offered = default_load;
-      return make_open_loop_factory(c);
-    };
-    s.digest = load_digest;
-    s.sweep_n = std::move(sweep);
-    s.max_rounds = base.horizon * 8 + 4096;  // generation + drain window
-    s.discipline = disc;
-    s.default_load = default_load;
-    s.make_load_factory = [base](const Graph&, double load) {
-      OpenLoopConfig c = base;
-      c.offered = load;
-      return make_open_loop_factory(c);
-    };
-    s.make_async_load_factory = [base](const Graph&, double load) {
-      OpenLoopConfig c = base;
-      c.offered = load;
-      return make_open_loop_async_factory(c);
-    };
-    r.add(std::move(s));
+  const auto stations = [](sim::ArrivalKind arrivals) {
+    return OpenLoopConfig{.arrivals = arrivals, .horizon = 1200};
   };
-
-  add_load("load/poisson/ffa/ring",
-           "Open-loop Poisson QoS stations on the bare collision channel",
-           TopoKind::kRing, sim::ArrivalKind::kPoisson, 0.6,
-           sim::DisciplineKind::kFreeForAll, {64, 128});
-  add_load("load/poisson/pb/ring",
-           "Open-loop Poisson stations under pseudo-Bayesian stabilization",
-           TopoKind::kRing, sim::ArrivalKind::kPoisson, 0.3,
-           sim::DisciplineKind::kPseudoBayesian, {64, 128});
-  add_load("load/poisson/resv/ring",
-           "Open-loop Poisson stations under the reservation multimedia MAC",
-           TopoKind::kRing, sim::ArrivalKind::kPoisson, 0.8,
-           sim::DisciplineKind::kReservation, {64, 128});
-  add_load("load/onoff/resv/grid",
-           "Bursty on-off stations under the reservation MAC on a grid",
-           TopoKind::kGrid, sim::ArrivalKind::kOnOff, 0.7,
-           sim::DisciplineKind::kReservation, {64, 256});
-  add_load("load/poisson/pb/iclique",
-           "Saturated Poisson stations, stabilized Aloha on an implicit clique",
-           TopoKind::kCliqueImplicit, sim::ArrivalKind::kPoisson, 0.9,
-           sim::DisciplineKind::kPseudoBayesian, {64, 128});
+  const auto poisson = stations(sim::ArrivalKind::kPoisson);
+  r.add(open_loop_scenario(
+      "load/poisson/ffa/ring",
+      "Open-loop Poisson QoS stations on the bare collision channel",
+      TopoKind::kRing, poisson, 0.6, sim::DisciplineKind::kFreeForAll,
+      {64, 128}));
+  r.add(open_loop_scenario(
+      "load/poisson/pb/ring",
+      "Open-loop Poisson stations under pseudo-Bayesian stabilization",
+      TopoKind::kRing, poisson, 0.3, sim::DisciplineKind::kPseudoBayesian,
+      {64, 128}));
+  r.add(open_loop_scenario(
+      "load/poisson/resv/ring",
+      "Open-loop Poisson stations under the reservation multimedia MAC",
+      TopoKind::kRing, poisson, 0.8, sim::DisciplineKind::kReservation,
+      {64, 128}));
+  r.add(open_loop_scenario(
+      "load/onoff/resv/grid",
+      "Bursty on-off stations under the reservation MAC on a grid",
+      TopoKind::kGrid, stations(sim::ArrivalKind::kOnOff), 0.7,
+      sim::DisciplineKind::kReservation, {64, 256}));
+  r.add(open_loop_scenario(
+      "load/poisson/pb/iclique",
+      "Saturated Poisson stations, stabilized Aloha on an implicit clique",
+      TopoKind::kCliqueImplicit, poisson, 0.9,
+      sim::DisciplineKind::kPseudoBayesian, {64, 128}));
   // Deferring disciplines on the native-async path (the synchronizer would
   // reject them; open-loop stations don't read idle slots, so they are fine
   // here).  TDMA is stable at any offered load below 1; Capetanakis tree
   // splitting saturates near 0.5 packets/slot — 0.4 sits inside capacity.
-  add_load("load/poisson/tdma/ring",
-           "Open-loop Poisson stations under fixed TDMA slot ownership",
-           TopoKind::kRing, sim::ArrivalKind::kPoisson, 0.5,
-           sim::DisciplineKind::kTdma, {64, 128});
-  add_load("load/poisson/cape/ring",
-           "Open-loop Poisson stations under Capetanakis tree splitting",
-           TopoKind::kRing, sim::ArrivalKind::kPoisson, 0.4,
-           sim::DisciplineKind::kCapetanakis, {64, 128});
+  r.add(open_loop_scenario(
+      "load/poisson/tdma/ring",
+      "Open-loop Poisson stations under fixed TDMA slot ownership",
+      TopoKind::kRing, poisson, 0.5, sim::DisciplineKind::kTdma, {64, 128}));
+  r.add(open_loop_scenario(
+      "load/poisson/cape/ring",
+      "Open-loop Poisson stations under Capetanakis tree splitting",
+      TopoKind::kRing, poisson, 0.4, sim::DisciplineKind::kCapetanakis,
+      {64, 128}));
 
   // ---- fault-injection family (sim/fault.hpp) ----------------------------
   //
@@ -784,106 +411,68 @@ void register_all() {
   // and station churn; its FaultStats fold into the digest, so the
   // equivalence suites cover drop accounting across schedulers too.
 
-  {
-    Scenario s;
-    s.name = "fault/partition/det/random";
-    s.description =
-        "Section 3 partition re-converging after k mid-run link kills";
-    s.topology = TopoKind::kRandom;
-    s.make_factory = [](const Graph&) -> sim::ProcessFactory {
-      return [](const sim::LocalView& v) {
-        return std::make_unique<PartitionDetProcess>(v, PartitionDetConfig{});
-      };
-    };
-    s.digest = fragment_digest;
-    s.sweep_n = {64, 128};
-    s.make_fault_plan = [](const Graph& g, std::uint32_t k,
-                           std::uint64_t seed) {
-      return sim::FaultPlan::link_kills(g, k, /*slot=*/24, seed);
-    };
-    s.default_faults = 4;
-    s.fault_recovery = true;
-    s.fault_epoch_slots = 96;
-    r.add(std::move(s));
-  }
+  r.add({.name = "fault/partition/det/random",
+         .description =
+             "Section 3 partition re-converging after k mid-run link kills",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<PartitionDetProcess>(PartitionDetConfig{}),
+         .digest = fragment_digest,
+         .sweep_n = {64, 128},
+         .workload = Recovery{.epoch_slots = 96},
+         .make_fault_plan = kill_links,
+         .default_faults = 4});
+  r.add({.name = "fault/mst/random",
+         .description = "Section 6 multimedia MST rebuilt after k mid-run "
+                        "link kills",
+         .topology = TopoKind::kRandom,
+         .make_factory = factory<MstProcess>(),
+         .digest = mst_digest,
+         .sweep_n = {64, 128},
+         .workload = Recovery{.epoch_slots = 96},
+         .make_fault_plan = kill_links,
+         .default_faults = 4});
 
-  {
-    Scenario s;
-    s.name = "fault/mst/random";
-    s.description =
-        "Section 6 multimedia MST rebuilt after k mid-run link kills";
-    s.topology = TopoKind::kRandom;
-    s.make_factory = [](const Graph&) -> sim::ProcessFactory {
-      return [](const sim::LocalView& v) {
-        return std::make_unique<MstProcess>(v);
-      };
-    };
-    s.digest = [](const NodeResults& results) {
-      return fold_nodes(results, [](const sim::Process& p, NodeId) {
-        const auto& mst = dynamic_cast<const MstProcess&>(p);
-        std::vector<EdgeId> edges = mst.mst_edges();
-        std::sort(edges.begin(), edges.end());
-        std::uint64_t h = kDigestSeed;
-        for (EdgeId e : edges) h = digest_mix(h, e);
-        return h;
-      });
-    };
-    s.sweep_n = {64, 128};
-    s.make_fault_plan = [](const Graph& g, std::uint32_t k,
-                           std::uint64_t seed) {
-      return sim::FaultPlan::link_kills(g, k, /*slot=*/24, seed);
-    };
-    s.default_faults = 4;
-    s.fault_recovery = true;
-    s.fault_epoch_slots = 96;
-    r.add(std::move(s));
-  }
-
-  {
-    OpenLoopConfig base;
-    base.arrivals = sim::ArrivalKind::kPoisson;
-    base.horizon = 1200;
-    Scenario s;
-    s.name = "fault/load/churn/ring";
-    s.description =
-        "Reservation-MAC ring at offered 0.6 under link and station churn";
-    s.topology = TopoKind::kRing;
-    s.make_factory = [base](const Graph&) {
-      OpenLoopConfig c = base;
-      c.offered = 0.6;
-      return make_open_loop_factory(c);
-    };
-    s.digest = load_digest;
-    s.sweep_n = {64, 128};
-    s.max_rounds = base.horizon * 8 + 4096;
-    s.discipline = sim::DisciplineKind::kReservation;
-    s.default_load = 0.6;
-    s.make_load_factory = [base](const Graph&, double load) {
-      OpenLoopConfig c = base;
-      c.offered = load;
-      return make_open_loop_factory(c);
-    };
-    s.make_async_load_factory = [base](const Graph&, double load) {
-      OpenLoopConfig c = base;
-      c.offered = load;
-      return make_open_loop_async_factory(c);
-    };
-    // Intensity k scales both churn rates; stations stay down 40 slots.
-    const std::uint64_t horizon = base.horizon;
-    s.make_fault_plan = [horizon](const Graph& g, std::uint32_t k,
-                                  std::uint64_t seed) {
-      sim::FaultPlan plan =
-          sim::FaultPlan::link_churn(g, 0.004 * k, horizon, seed);
-      plan.merge(sim::FaultPlan::node_churn(g, 0.001 * k, /*down_slots=*/40,
-                                            horizon, seed));
-      return plan;
-    };
-    s.default_faults = 1;
-    r.add(std::move(s));
-  }
+  Scenario churn = open_loop_scenario(
+      "fault/load/churn/ring",
+      "Reservation-MAC ring at offered 0.6 under link and station churn",
+      TopoKind::kRing, poisson, 0.6, sim::DisciplineKind::kReservation,
+      {64, 128});
+  // Intensity k scales both churn rates; stations stay down 40 slots.
+  churn.make_fault_plan = [horizon = poisson.horizon](
+                              const Graph& g, std::uint32_t k,
+                              std::uint64_t seed) {
+    sim::FaultPlan plan =
+        sim::FaultPlan::link_churn(g, 0.004 * k, horizon, seed);
+    plan.merge(sim::FaultPlan::node_churn(g, 0.001 * k, /*down_slots=*/40,
+                                          horizon, seed));
+    return plan;
+  };
+  churn.default_faults = 1;
+  r.add(std::move(churn));
 }
 
 }  // namespace
+
+Scenario open_loop_scenario(std::string name, std::string description,
+                            TopoKind topology, OpenLoopConfig base,
+                            double default_load, sim::DisciplineKind discipline,
+                            std::vector<NodeId> sweep_n) {
+  base.offered = default_load;
+  return {.name = std::move(name),
+          .description = std::move(description),
+          .topology = topology,
+          .make_factory =
+              [base](const Graph&) { return make_open_loop_factory(base); },
+          .digest = load_digest,
+          .sweep_n = std::move(sweep_n),
+          // Generation plus a bounded drain window: a saturated stabilized
+          // lane drains at ~1/e packets per slot, so 8x the horizon covers
+          // offered loads well past capacity.
+          .max_rounds = base.horizon * 8 + 4096,
+          .discipline = discipline,
+          .default_load = default_load,
+          .workload = OpenLoop{base}};
+}
 
 void register_builtin() {
   static const bool once = [] {

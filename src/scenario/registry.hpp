@@ -7,28 +7,35 @@
 // registration — the throughput bench, the equivalence suite, and any sweep
 // driver pick it up automatically.
 //
-// Scenarios are engine-generic: run() executes a workload under the
-// synchronous lockstep Engine or — for channel-free workloads, via the
-// busy-tone synchronizer (Section 7.1) — under the asynchronous AsyncEngine,
-// each on either scheduler.  All scenarios are deterministic per (n, seed,
-// engine) and scheduler-independent: run() under a ParallelScheduler returns
-// bit-identical Metrics and digest to a serial run of the same engine (see
-// sim/scheduler.hpp and the async determinism notes in sim/async_engine.hpp).
+// Every workload runs through one entry, run(s, n, seed, RunConfig): the
+// RunConfig picks the engine (synchronous lockstep Engine, or the
+// asynchronous AsyncEngine — natively for open-loop stations, through the
+// busy-tone synchronizer of Section 7.1 for channel-free protocols), the
+// scheduler threads, the rank processes of a sharded run, the offered load
+// and the fault intensity, and every combination the scenario admits is an
+// ordinary cell.  All scenarios are deterministic per (n, seed, engine)
+// and independent of threads and ranks: a run under any of them returns
+// bit-identical Metrics and digest to the serial run of the same engine
+// (see sim/scheduler.hpp, sim/rank.hpp and the async determinism notes in
+// sim/async_engine.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
+#include "core/openloop.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/traffic.hpp"
 #include "support/metrics.hpp"
 
 namespace mmn::scenario {
@@ -50,18 +57,46 @@ struct NodeResults {
   /// scenarios, which run AsyncProcesses without the synchronizer); digest
   /// implementations that support both engines side-cast whichever is set.
   std::function<const sim::AsyncProcess&(NodeId)> at_async = nullptr;
-  /// Digest window for rank-mode chaining (scenario/rank_run.hpp): digests
-  /// fold node ids [begin, begin + n) starting from accumulator h0, so rank
-  /// r folds its own window over rank r-1's partial hash and the chain ends
+  /// Digest window for rank-mode chaining: digests fold node ids
+  /// [begin, begin + n) starting from accumulator h0, so rank r folds its
+  /// own window over rank r-1's partial hash and the chain ends
   /// bit-identical to the serial whole-run fold.  The defaults (0 and the
   /// FNV-1a offset basis, == kDigestSeed) reproduce the classic fold.
   NodeId begin = 0;
   std::uint64_t h0 = 0xcbf29ce484222325ULL;
 };
 
+/// The closed set of workload kinds run() drives.
+///
+/// A closed-loop protocol: make_factory's processes run until every node
+/// has finished and the channel is idle.
+struct Protocol {};
+/// Open-loop stations (core/openloop.hpp).  run() builds them from `config`
+/// at the run's offered load (RunConfig::load, else Scenario::default_load,
+/// which replaces config.offered), on the synchronous engine or natively on
+/// the asynchronous one — no synchronizer, so deferring disciplines are
+/// allowed (open-loop stations read nothing into idle slots).  The result
+/// carries the QoS section, and faulted runs count orphaned backlog.
+struct OpenLoop {
+  OpenLoopConfig config;
+};
+/// Two-phase recovery (the fault/ convergence scenarios).  A faulted run
+/// steps the protocol serially into the faults (phase A, through the last
+/// fault event), the epoch overlay compacts the surviving topology into a
+/// fresh arena, and phase B re-runs the protocol from scratch on it under
+/// the caller's threads.  `epoch_slots` is the configured epoch boundary;
+/// the slots between the first fault and it model the detection/rebuild
+/// window and bill into recovery_slots.  The digest folds phase B's result
+/// with the overlay's kill-set word — both invariant to where the boundary
+/// lands, so recovery digests pin re-convergence, not drop timing.
+struct Recovery {
+  std::uint64_t epoch_slots = 0;
+};
+using Workload = std::variant<Protocol, OpenLoop, Recovery>;
+
 struct Scenario {
-  std::string name;         ///< "family/variant", unique in the registry
-  std::string description;  ///< one line for listings
+  std::string name{};         ///< "family/variant", unique in the registry
+  std::string description{};  ///< one line for listings
 
   /// The topology family.  Every entry is size-parameterized: run() builds
   /// the graph from TopologySpec{topology, n, seed}, so any sweep driver
@@ -71,15 +106,16 @@ struct Scenario {
   /// topology_round_n; strict CLIs check topology_valid_n instead.
   TopoKind topology = TopoKind::kRandom;
 
-  /// Builds the per-node process factory for a given topology.
-  std::function<sim::ProcessFactory(const Graph& g)> make_factory;
+  /// Builds the per-node process factory for a given topology (open-loop
+  /// scenarios: the synchronous stations at default_load).
+  std::function<sim::ProcessFactory(const Graph& g)> make_factory{};
 
   /// Order-independent digest of the per-node results (e.g. the MST edge
   /// set, the fragment assignment, the computed global value), used to
-  /// compare runs across schedulers and engines.  May be null.
-  std::function<std::uint64_t(const NodeResults& results)> digest;
+  /// compare runs across schedulers, ranks and engines.  May be null.
+  std::function<std::uint64_t(const NodeResults& results)> digest{};
 
-  std::vector<NodeId> sweep_n;  ///< default sweep sizes, ascending
+  std::vector<NodeId> sweep_n{};  ///< default sweep sizes, ascending
   std::uint64_t default_seed = 7;
   std::uint64_t max_rounds = 200'000'000;  ///< round cap (slot cap async)
 
@@ -91,49 +127,62 @@ struct Scenario {
   std::uint32_t async_max_delay_slots = 1;
 
   /// Medium-access policy the run executes under
-  /// (sim/channel_discipline.hpp).  Asynchronous runs go through the
-  /// busy-tone synchronizer, whose idle-slot pulses a deferring discipline
-  /// would falsify — run() rejects kTdma/kCapetanakis there.  (Load
-  /// scenarios bypass the synchronizer entirely; see below.)
+  /// (sim/channel_discipline.hpp).  Asynchronous protocol runs go through
+  /// the busy-tone synchronizer, whose idle-slot pulses a deferring
+  /// discipline would falsify — run() rejects kTdma/kCapetanakis there.
   sim::DisciplineKind discipline = sim::DisciplineKind::kFreeForAll;
 
-  /// Open-loop load knobs (core/openloop.hpp).  A scenario with
-  /// make_load_factory set is load-capable: run() rebuilds its stations at
-  /// the caller's offered load (scenario_sweep --load=, bench_load_sweep),
-  /// falling back to default_load when the caller passes 0.
+  /// Offered load of an open-loop scenario when the caller passes none.
   double default_load = 0.0;
-  std::function<sim::ProcessFactory(const Graph& g, double load)>
-      make_load_factory = nullptr;
 
-  /// Native asynchronous variant of a load workload.  When set,
-  /// EngineKind::kAsync drives these AsyncProcesses on the AsyncEngine
-  /// directly — no synchronizer, so deferring disciplines are allowed
-  /// (open-loop stations read nothing into idle slots; the channel_free
-  /// requirement applies only to the synchronizer path).
-  std::function<sim::AsyncProcessFactory(const Graph& g, double load)>
-      make_async_load_factory = nullptr;
+  Workload workload = Protocol{};
 
   /// Fault-injection hooks (sim/fault.hpp).  A scenario with make_fault_plan
   /// set is fault-capable: run() builds the plan at intensity k — the
-  /// caller's --faults= knob, falling back to default_faults when the caller
-  /// passes 0 — and installs it on the engine.  The plan is a pure function
-  /// of (g, k, seed), so faulted runs stay deterministic and
-  /// scheduler-independent like everything else in the table.
+  /// caller's RunConfig::faults, falling back to default_faults when that
+  /// is 0 — and installs it on the engine.  The plan is a pure function of
+  /// (g, k, seed), so faulted runs stay deterministic and independent of
+  /// threads and ranks like everything else in the table.
   std::function<sim::FaultPlan(const Graph& g, std::uint32_t k,
                                std::uint64_t seed)>
       make_fault_plan = nullptr;
   std::uint32_t default_faults = 0;  ///< k when the caller passes 0
 
-  /// Recovery flow (the fault/ convergence scenarios).  When set, a faulted
-  /// run is two-phase: phase A steps the faulted protocol serially to
-  /// fault_epoch_slots rounds, then the epoch overlay compacts the surviving
-  /// topology into a fresh arena and phase B re-runs the protocol from
-  /// scratch on it under the caller's scheduler/engine.  The digest folds
-  /// phase B's protocol result with the overlay's kill-set word — both are
-  /// invariant to where the epoch boundary lands, so recovery digests pin
-  /// re-convergence without being sensitive to drop timing.
-  bool fault_recovery = false;
-  std::uint64_t fault_epoch_slots = 0;
+  /// The station config of an open-loop scenario; null for other kinds.
+  const OpenLoopConfig* open_loop() const;
+  /// True for the two-phase recovery kind.
+  bool recovery() const { return std::holds_alternative<Recovery>(workload); }
+  /// The native-asynchronous stations of an open-loop scenario at offered
+  /// `load` (throws for other kinds).
+  sim::AsyncProcessFactory make_async_load_factory(const Graph& g,
+                                                   double load) const;
+};
+
+/// How to run a scenario: every knob of run() besides size and seed.  Each
+/// combination the scenario admits is an ordinary cell; run() rejects the
+/// rest before any rank process is forked.
+struct RunConfig {
+  EngineKind engine = EngineKind::kSync;
+  /// Scheduler threads, per rank (1 = serial; sim/scheduler.hpp).
+  unsigned threads = 1;
+  /// Rank processes of a sharded run (sim/rank.hpp): each builds and steps
+  /// only its node window.  Synchronous engine only; recovery scenarios
+  /// (which re-partition mid-run) are rejected.
+  unsigned ranks = 1;
+  /// Offered load of an open-loop scenario; 0 = its default_load (rejected
+  /// for other kinds).
+  double load = 0.0;
+  /// Fault intensity k; 0 = the scenario's default_faults (rejected for
+  /// scenarios without make_fault_plan).
+  std::uint32_t faults = 0;
+};
+
+/// Cross-rank traffic of a sharded run, for bench_shard_comm; zero when
+/// ranks == 1 (no wire, no frontier).
+struct ShardStats {
+  std::uint64_t xshard_msgs = 0;     ///< cross-shard headers sent, all ranks
+  std::uint64_t boundary_edges = 0;  ///< edges with endpoints in two shards
+  std::uint64_t wire_bytes = 0;      ///< transport bytes sent, all ranks
 };
 
 struct RunResult {
@@ -149,11 +198,23 @@ struct RunResult {
   /// elapsed (mirrors `completed`; neither engine aborts on a capped run).
   sim::RunStatus status = sim::RunStatus::kCompleted;
   /// Fault accounting of a faulted run; zeroed on fault-free runs.  On
-  /// recovery scenarios this is phase A's tally with recovery_slots filled.
+  /// recovery scenarios this is phase A's tally with recovery_slots filled;
+  /// on open-loop scenarios orphaned_pkts is the backlog stranded in
+  /// stations still crashed at run end (lost to the crash, so it rides
+  /// neither the livelock books nor the goodput).
   sim::FaultStats faults;
   /// Recovery scenarios: slots from the first fault event until phase B
   /// re-converged (phase-A remainder + phase-B rounds).
   std::uint64_t recovery_slots = 0;
+  /// QoS section of an open-loop run: per-class delay/backlog summaries of
+  /// the latency blocks of every shard of every rank (additive, so a
+  /// sharded run reports the serial run's summaries); zero for other kinds.
+  std::array<sim::QosSummary, sim::kNumQosClasses> qos{};
+  /// Delivered / arrivals over the whole run, all classes (1.0 when no
+  /// packet was ever generated).  bench_fault_churn's goodput_retention is
+  /// the ratio of deliveries between a churned and a clean run.
+  double delivered_ratio = 1.0;
+  ShardStats shard;
 };
 
 class Registry {
@@ -176,25 +237,32 @@ class Registry {
 /// Registers the built-in scenario table; idempotent.
 void register_builtin();
 
+/// An open-loop scenario: stations shaped by `base` (its `offered` is
+/// replaced by default_load), gossip-digested, with a slot cap of the
+/// horizon plus a drain window.  The registry's load/ and churn entries are
+/// built with it, and benches and tests derive off-default variants (a
+/// longer horizon, another discipline) the same way.
+Scenario open_loop_scenario(std::string name, std::string description,
+                            TopoKind topology, OpenLoopConfig base,
+                            double default_load, sim::DisciplineKind discipline,
+                            std::vector<NodeId> sweep_n);
+
 /// The graph run() executes `s` on at nominal size n: the scenario's
 /// topology family at topology_round_n(s.topology, n) nodes.
 Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed);
 
-/// Runs one scenario at size n: generate the graph, build the engine of the
-/// requested kind under `scheduler` (null = serial), run to completion,
-/// digest the results.  EngineKind::kAsync runs load-capable scenarios
-/// natively on the AsyncEngine (make_async_load_factory); all other
-/// scenarios require s.channel_free and go through the busy-tone
-/// synchronizer.  A run that exhausts s.max_rounds rounds/slots reports
-/// completed == false instead of aborting.  `load` > 0 selects the offered
-/// load of a load-capable scenario (0 = its default_load; rejected for
-/// scenarios without make_load_factory).  `faults` > 0 selects the fault
-/// intensity of a fault-capable scenario (0 = its default_faults; rejected
-/// for scenarios without make_fault_plan).
+/// Runs one scenario at size n under `config`: generate the graph (a rank
+/// builds only its window), draw the fault plan, step the engine to
+/// completion or the s.max_rounds cap, and digest and tally the result —
+/// the one run path for every engine, thread count, rank count, load and
+/// fault intensity.  Throws std::invalid_argument, before any rank is
+/// forked, for a cell the scenario does not admit: a load on a non-open-
+/// loop scenario, faults on one without make_fault_plan, ranks > 1 on the
+/// asynchronous engine or on a recovery scenario, or an asynchronous
+/// protocol run that the synchronizer cannot carry (not channel_free, a
+/// deferring discipline, or faults).
 RunResult run(const Scenario& s, NodeId n, std::uint64_t seed,
-              std::unique_ptr<sim::Scheduler> scheduler = nullptr,
-              EngineKind engine = EngineKind::kSync, double load = 0.0,
-              std::uint32_t faults = 0);
+              const RunConfig& config = {});
 
 /// FNV-1a fold helper for digest implementations.
 inline std::uint64_t digest_mix(std::uint64_t h, std::uint64_t word) {

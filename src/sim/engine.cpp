@@ -134,17 +134,4 @@ Metrics Engine::run(std::uint64_t max_rounds) {
   return core_.metrics();
 }
 
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds) {
-  Engine engine(g, factory, seed);
-  return engine.run(max_rounds);
-}
-
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds,
-                    std::unique_ptr<Scheduler> scheduler) {
-  Engine engine(g, factory, seed, std::move(scheduler));
-  return engine.run(max_rounds);
-}
-
 }  // namespace mmn::sim

@@ -144,13 +144,4 @@ class Engine {
   std::vector<char> finished_flag_;  // per node; char: shard-safe writes
 };
 
-/// Convenience: builds the engine, runs to completion, returns metrics.
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds);
-
-/// As above, under the given scheduler.
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds,
-                    std::unique_ptr<Scheduler> scheduler);
-
 }  // namespace mmn::sim

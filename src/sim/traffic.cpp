@@ -99,17 +99,16 @@ std::uint64_t LatencyRecorder::quantile(
   return LatencyBlock::bucket_upper(LatencyBlock::kBuckets - 1);
 }
 
-QosSummary LatencyRecorder::summary(QosClass cls) const {
-  const LatencyBlock m = merged();
+QosSummary LatencyBlock::summary(QosClass cls) const {
   const auto c = static_cast<std::size_t>(cls);
   QosSummary s;
-  s.arrivals = m.arrivals[c];
-  s.delivered = m.delivered[c];
-  s.delay_sum = m.delay_sum[c];
-  s.delay_sq_sum = m.delay_sq_sum[c];
-  s.p50 = quantile(m.hist[c], m.delivered[c], 0.50);
-  s.p90 = quantile(m.hist[c], m.delivered[c], 0.90);
-  s.p99 = quantile(m.hist[c], m.delivered[c], 0.99);
+  s.arrivals = arrivals[c];
+  s.delivered = delivered[c];
+  s.delay_sum = delay_sum[c];
+  s.delay_sq_sum = delay_sq_sum[c];
+  s.p50 = LatencyRecorder::quantile(hist[c], delivered[c], 0.50);
+  s.p90 = LatencyRecorder::quantile(hist[c], delivered[c], 0.90);
+  s.p99 = LatencyRecorder::quantile(hist[c], delivered[c], 0.99);
   return s;
 }
 

@@ -74,6 +74,45 @@ class TrafficSource {
   std::uint64_t phase_ = 0;     ///< kOnOff cycle position
 };
 
+/// Per-class steady-state report, derived from the merged histogram.
+struct QosSummary {
+  std::uint64_t arrivals = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t delay_sum = 0;
+  std::uint64_t delay_sq_sum = 0;
+  std::uint64_t p50 = 0;  ///< log2-bucket upper bounds, in slots
+  std::uint64_t p90 = 0;
+  std::uint64_t p99 = 0;
+
+  bool operator==(const QosSummary&) const = default;
+
+  std::uint64_t backlog() const { return arrivals - delivered; }
+  double mean_delay() const {
+    return delivered == 0
+               ? 0.0
+               : static_cast<double>(delay_sum) / static_cast<double>(delivered);
+  }
+  /// Inter-delivery delay variation: the standard deviation of the delay
+  /// samples, sqrt(E[d^2] - E[d]^2), in slots.  Reported next to the
+  /// percentiles — voice-class jitter is the QoS figure the percentile
+  /// tail alone cannot show (a tight p99 can still wobble inside it).
+  /// The difference is clamped at 0 against floating-point cancellation.
+  double jitter() const {
+    if (delivered == 0) return 0.0;
+    const double mean = mean_delay();
+    const double mean_sq = static_cast<double>(delay_sq_sum) /
+                           static_cast<double>(delivered);
+    const double var = mean_sq - mean * mean;
+    return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+  /// Delivered packets per slot — the per-class goodput of the run.
+  double goodput(std::uint64_t slots) const {
+    return slots == 0
+               ? 0.0
+               : static_cast<double>(delivered) / static_cast<double>(slots);
+  }
+};
+
 /// Fixed-size log2 delay histogram block for one scheduler shard, plus the
 /// per-class arrival/delivery counters the backlog and goodput reports
 /// derive from.  64-byte aligned: adjacent shards' blocks are written by
@@ -117,43 +156,9 @@ struct alignas(64) LatencyBlock {
 
   /// Shard-major fold: accumulates `other` into this block.
   void merge(const LatencyBlock& other);
-};
 
-/// Per-class steady-state report, derived from the merged histogram.
-struct QosSummary {
-  std::uint64_t arrivals = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t delay_sum = 0;
-  std::uint64_t delay_sq_sum = 0;
-  std::uint64_t p50 = 0;  ///< log2-bucket upper bounds, in slots
-  std::uint64_t p90 = 0;
-  std::uint64_t p99 = 0;
-
-  std::uint64_t backlog() const { return arrivals - delivered; }
-  double mean_delay() const {
-    return delivered == 0
-               ? 0.0
-               : static_cast<double>(delay_sum) / static_cast<double>(delivered);
-  }
-  /// Inter-delivery delay variation: the standard deviation of the delay
-  /// samples, sqrt(E[d^2] - E[d]^2), in slots.  Reported next to the
-  /// percentiles — voice-class jitter is the QoS figure the percentile
-  /// tail alone cannot show (a tight p99 can still wobble inside it).
-  /// The difference is clamped at 0 against floating-point cancellation.
-  double jitter() const {
-    if (delivered == 0) return 0.0;
-    const double mean = mean_delay();
-    const double mean_sq = static_cast<double>(delay_sq_sum) /
-                           static_cast<double>(delivered);
-    const double var = mean_sq - mean * mean;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-  }
-  /// Delivered packets per slot — the per-class goodput of the run.
-  double goodput(std::uint64_t slots) const {
-    return slots == 0
-               ? 0.0
-               : static_cast<double>(delivered) / static_cast<double>(slots);
-  }
+  /// Per-class percentiles/backlog/goodput inputs of this block.
+  QosSummary summary(QosClass cls) const;
 };
 
 /// The RuntimeCore-owned recorder: one LatencyBlock per scheduler shard,
@@ -173,7 +178,7 @@ class LatencyRecorder {
   LatencyBlock merged() const;
 
   /// Per-class percentiles/backlog/goodput inputs from the merged blocks.
-  QosSummary summary(QosClass cls) const;
+  QosSummary summary(QosClass cls) const { return merged().summary(cls); }
 
   /// Quantile over a merged class histogram: the upper delay bound of the
   /// bucket holding the ceil(q * delivered)-th smallest sample.

@@ -13,13 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/openloop.hpp"
 #include "graph/epoch.hpp"
 #include "graph/generators.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/scheduler.hpp"
 
 namespace mmn {
 namespace {
@@ -241,7 +239,7 @@ TEST(FaultRecovery, DigestIsInvariantToEpochBoundaryPlacement) {
       scenario::Registry::instance().find("fault/partition/det/random");
   ASSERT_NE(base, nullptr);
   scenario::Scenario late = *base;  // same kills, later compaction
-  late.fault_epoch_slots = 160;
+  late.workload = scenario::Recovery{.epoch_slots = 160};
   const scenario::RunResult at96 = scenario::run(*base, 64, base->default_seed);
   const scenario::RunResult at160 = scenario::run(late, 64, base->default_seed);
   // Any boundary past the last fault event compacts the same surviving
@@ -258,8 +256,8 @@ TEST(FaultRecovery, SerialAndParallelRunsAreBitIdentical) {
     ASSERT_NE(s, nullptr) << name;
     const scenario::RunResult serial = scenario::run(*s, 64, s->default_seed);
     for (const unsigned threads : {2u, 4u, 8u}) {
-      const scenario::RunResult parallel = scenario::run(
-          *s, 64, s->default_seed, sim::make_scheduler(threads));
+      const scenario::RunResult parallel =
+          scenario::run(*s, 64, s->default_seed, {.threads = threads});
       EXPECT_EQ(parallel.digest, serial.digest)
           << name << " with " << threads << " threads";
       EXPECT_EQ(parallel.metrics.rounds, serial.metrics.rounds);
@@ -279,11 +277,11 @@ TEST(FaultChurn, BothEnginesAreSchedulerInvariant) {
   for (const scenario::EngineKind kind :
        {scenario::EngineKind::kSync, scenario::EngineKind::kAsync}) {
     const scenario::RunResult serial =
-        scenario::run(*s, 64, s->default_seed, nullptr, kind);
+        scenario::run(*s, 64, s->default_seed, {.engine = kind});
     EXPECT_GT(serial.faults.link_downs + serial.faults.node_crashes, 0u);
     for (const unsigned threads : {2u, 4u, 8u}) {
       const scenario::RunResult parallel = scenario::run(
-          *s, 64, s->default_seed, sim::make_scheduler(threads), kind);
+          *s, 64, s->default_seed, {.engine = kind, .threads = threads});
       EXPECT_EQ(parallel.digest, serial.digest)
           << (kind == scenario::EngineKind::kSync ? "sync" : "async")
           << " with " << threads << " threads";
@@ -297,25 +295,32 @@ TEST(FaultDegradation, CrashedStationsOrphanBacklogAndDeadLinksDrop) {
   // An oversaturated reservation ring: every station is backlogged, so a
   // permanent crash strands that backlog as orphaned_pkts, its neighbors'
   // gossip into the dead station counts as drops, and the delivered ratio
-  // falls below the fault-free run's.
-  const Graph g = build_topology(TopologySpec{TopoKind::kRing, 32, 7});
-  OpenLoopConfig config;
-  config.offered = 2.0;
-  config.horizon = 800;
-  FaultPlan plan;
-  plan.add({/*slot=*/400, FaultKind::kNodeCrash, /*id=*/5});
-  const LoadReport faulted = run_open_loop(
-      g, config, sim::DisciplineKind::kReservation, 7, nullptr, &plan);
-  const LoadReport clean = run_open_loop(
-      g, config, sim::DisciplineKind::kReservation, 7);
-  EXPECT_GT(faulted.degradation.faults.orphaned_pkts, 0u);
-  EXPECT_GT(faulted.degradation.faults.drops, 0u);
-  EXPECT_EQ(faulted.degradation.faults.node_crashes, 1u);
-  EXPECT_EQ(faulted.degradation.faults.nodes_down, 1u);
-  EXPECT_LT(faulted.degradation.delivered_ratio,
-            clean.degradation.delivered_ratio);
-  // The fault-free report carries a zeroed degradation section.
-  EXPECT_TRUE(clean.degradation.faults == sim::FaultStats{});
+  // falls below the fault-free run's — on both engines.
+  scenario::Scenario clean = scenario::open_loop_scenario(
+      "fault/crash/ring", "one permanent station crash", TopoKind::kRing,
+      OpenLoopConfig{.horizon = 800}, /*default_load=*/2.0,
+      sim::DisciplineKind::kReservation, {32});
+  scenario::Scenario crashed = clean;
+  crashed.make_fault_plan = [](const Graph&, std::uint32_t, std::uint64_t) {
+    FaultPlan plan;
+    plan.add({/*slot=*/400, FaultKind::kNodeCrash, /*id=*/5});
+    return plan;
+  };
+  crashed.default_faults = 1;
+  for (const scenario::EngineKind kind :
+       {scenario::EngineKind::kSync, scenario::EngineKind::kAsync}) {
+    const scenario::RunResult faulted =
+        scenario::run(crashed, 32, 7, {.engine = kind});
+    const scenario::RunResult fault_free =
+        scenario::run(clean, 32, 7, {.engine = kind});
+    EXPECT_GT(faulted.faults.orphaned_pkts, 0u);
+    EXPECT_GT(faulted.faults.drops, 0u);
+    EXPECT_EQ(faulted.faults.node_crashes, 1u);
+    EXPECT_EQ(faulted.faults.nodes_down, 1u);
+    EXPECT_LT(faulted.delivered_ratio, fault_free.delivered_ratio);
+    // The fault-free run carries a zeroed degradation section.
+    EXPECT_TRUE(fault_free.faults == sim::FaultStats{});
+  }
 }
 
 }  // namespace

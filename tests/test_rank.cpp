@@ -1,11 +1,13 @@
-// Sharded execution (sim/rank.hpp, scenario/rank_run.hpp): windowed graph
-// builds must reproduce the full build's owned rows bit for bit, the
-// socketpair transport must swap arbitrary blobs, the frame decoder must
-// reject every torn or garbled frame without reading past it, a throwing
-// rank must fail the run in the parent only, and a sharded scenario run
-// must produce the serial run's digest, metrics, and fault stats exactly —
-// including under fault churn — across 1, 2, and 4 ranks, with and without
-// threads inside each rank.
+// Sharded execution (sim/rank.hpp, scenario::run with RunConfig::ranks):
+// windowed graph builds must reproduce the full build's owned rows bit for
+// bit, the socketpair transport must swap arbitrary blobs, the frame
+// decoder must reject every torn or garbled frame without reading past it,
+// a throwing rank must fail the run in the parent only, cells that cannot
+// run sharded must be rejected before any rank is forked, and a sharded
+// scenario run must produce the serial run's digest, metrics, fault stats
+// and QoS section exactly — including under fault churn and a station
+// crash — across 1, 2, and 4 ranks, with and without threads inside each
+// rank.
 //
 // Child ranks run in forked processes, so in-child checks use MMN_REQUIRE
 // (a throwing child exits nonzero and run_ranks throws in the parent);
@@ -23,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
 #include "sim/fault.hpp"
 #include "sim/rank.hpp"
@@ -36,7 +37,6 @@ namespace {
 
 using scenario::Registry;
 using scenario::RunResult;
-using scenario::ShardStats;
 
 void expect_windows_match_full(const TopologySpec& spec, unsigned ranks) {
   const Graph full = build_topology(spec);
@@ -108,35 +108,44 @@ TEST(RankTransport, PairwiseSwapCarriesLopsidedBlobs) {
   });
 }
 
-void expect_sharded_matches_serial(const char* name, NodeId n,
-                                   std::uint64_t seed, std::uint32_t faults) {
-  scenario::register_builtin();
-  const scenario::Scenario* s = Registry::instance().find(name);
-  ASSERT_NE(s, nullptr) << name;
-  const RunResult serial =
-      run(*s, n, seed, nullptr, scenario::EngineKind::kSync, 0.0, faults);
+void expect_sharded_matches_serial(const scenario::Scenario& s, NodeId n,
+                                   std::uint64_t seed, std::uint32_t faults,
+                                   unsigned threads = 1) {
+  const RunResult serial = run(s, n, seed, {.faults = faults});
   for (unsigned ranks : {1u, 2u, 4u}) {
-    ShardStats stats;
     const RunResult sharded =
-        run_sharded(*s, n, seed, ranks, 0.0, faults, &stats);
+        run(s, n, seed, {.threads = threads, .ranks = ranks, .faults = faults});
     EXPECT_EQ(sharded.digest, serial.digest)
-        << name << " n=" << n << " ranks=" << ranks;
+        << s.name << " n=" << n << " ranks=" << ranks;
     EXPECT_TRUE(sharded.metrics == serial.metrics)
-        << name << " n=" << n << " ranks=" << ranks;
+        << s.name << " n=" << n << " ranks=" << ranks;
     EXPECT_TRUE(sharded.faults == serial.faults)
-        << name << " n=" << n << " ranks=" << ranks;
+        << s.name << " n=" << n << " ranks=" << ranks;
+    EXPECT_TRUE(sharded.qos == serial.qos)
+        << s.name << " n=" << n << " ranks=" << ranks;
+    EXPECT_EQ(sharded.delivered_ratio, serial.delivered_ratio);
     EXPECT_EQ(sharded.completed, serial.completed);
     EXPECT_EQ(sharded.realized_n, serial.realized_n);
-    EXPECT_EQ(stats.rounds, serial.metrics.rounds);
     if (ranks > 1) {
       // A ring window [lo, hi) has exactly two boundary edges; K windows
       // cut the cycle K times.
-      if (s->topology == TopoKind::kRing) {
-        EXPECT_EQ(stats.boundary_edges, ranks);
+      if (s.topology == TopoKind::kRing) {
+        EXPECT_EQ(sharded.shard.boundary_edges, ranks);
       }
-      EXPECT_GT(stats.wire_bytes, 0u);
+      EXPECT_GT(sharded.shard.wire_bytes, 0u);
+    } else {
+      EXPECT_EQ(sharded.shard.wire_bytes, 0u);
     }
   }
+}
+
+void expect_sharded_matches_serial(const char* name, NodeId n,
+                                   std::uint64_t seed, std::uint32_t faults,
+                                   unsigned threads = 1) {
+  scenario::register_builtin();
+  const scenario::Scenario* s = Registry::instance().find(name);
+  ASSERT_NE(s, nullptr) << name;
+  expect_sharded_matches_serial(*s, n, seed, faults, threads);
 }
 
 TEST(RankRun, GlobalMinRandRingMatchesSerial) {
@@ -150,105 +159,58 @@ TEST(RankRun, DetRandomTopologyMatchesSerial) {
 
 TEST(RankRun, FaultChurnMatchesSerial) {
   // Reservation MAC under link and station churn: covers cross-rank fault
-  // replication (replicated overlay + stifles) and the drops reduction.
+  // replication (replicated overlay + stifles), the drops reduction and the
+  // QoS section (latency blocks summed across ranks).
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 1);
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3);
 }
 
-/// run_sharded's rank body with a `threads`-wide scheduler in every rank:
-/// windowed build, replicated fault plan, the rank-major digest chain, and
-/// rank 0's gather of the per-rank sums.
-RunResult run_threaded_ranks(const scenario::Scenario& s, NodeId nominal,
-                             std::uint64_t seed, unsigned ranks,
-                             unsigned threads, std::uint32_t faults) {
-  struct Tally {
-    std::uint64_t digest, p2p, drops, completed;
-  };
-  RunResult out;
-  sim::shard_comm::run_ranks(ranks, [&](sim::shard_comm::Transport& t) {
-    const NodeId n = topology_round_n(s.topology, nominal);
-    const auto [lo, hi] = sim::Scheduler::shard_range(n, t.rank(), ranks);
-    const Graph g = build_topology_window(TopologySpec{s.topology, n, seed},
-                                          GraphWindow{lo, hi});
+TEST(RankRun, CrashedStationOrphansMatchSerial) {
+  // A permanent crash of a station outside rank 0's window on an
+  // oversaturated ring: the orphaned backlog is counted by the owning rank
+  // and must reach rank 0's result exactly as a serial run reports it.
+  scenario::Scenario s = scenario::open_loop_scenario(
+      "fault/crash/ring", "one permanent station crash", TopoKind::kRing,
+      OpenLoopConfig{.horizon = 800}, /*default_load=*/2.0,
+      sim::DisciplineKind::kReservation, {32});
+  s.make_fault_plan = [](const Graph&, std::uint32_t, std::uint64_t) {
     sim::FaultPlan plan;
-    if (faults > 0) {
-      plan = s.make_fault_plan(scenario::make_scenario_graph(s, nominal, seed),
-                               faults, seed);
-    }
-    sim::Engine eng(
-        g, sim::RankSpec{t.rank(), ranks, lo, hi},
-        s.make_load_factory ? s.make_load_factory(g, s.default_load)
-                            : s.make_factory(g),
-        seed, t,
-        sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed),
-        sim::make_scheduler(threads));
-    if (!plan.empty()) eng.install_faults(plan);
-    Tally mine{scenario::kDigestSeed, 0, 0, 0};
-    mine.completed = eng.step(s.max_rounds) ? 1 : 0;
-    mine.p2p = eng.metrics().p2p_messages;
-    mine.drops = plan.empty() ? 0 : eng.faults()->stats().drops;
-
-    std::vector<std::uint8_t> in;
-    const auto swap = [&](unsigned peer, const void* data, std::size_t bytes) {
-      t.exchange(peer, static_cast<const std::uint8_t*>(data), bytes, in);
-    };
-    if (t.rank() > 0) {
-      swap(t.rank() - 1, nullptr, 0);
-      std::memcpy(&mine.digest, in.data(), sizeof(mine.digest));
-    }
-    mine.digest = s.digest(scenario::NodeResults{
-        hi - lo,
-        [&eng](NodeId v) -> const sim::Process& { return eng.process(v); },
-        nullptr, lo, mine.digest});
-    if (t.rank() + 1 < ranks) {
-      swap(t.rank() + 1, &mine.digest, sizeof(mine.digest));
-    }
-    if (t.rank() != 0) {
-      swap(0, &mine, sizeof(mine));
-      return;
-    }
-    out.realized_n = n;
-    out.completed = mine.completed != 0;
-    out.metrics = eng.metrics();
-    if (!plan.empty()) out.faults = eng.faults()->stats();
-    for (unsigned r = 1; r < ranks; ++r) {
-      Tally peer;
-      swap(r, nullptr, 0);
-      std::memcpy(&peer, in.data(), sizeof(peer));
-      out.metrics.p2p_messages += peer.p2p;
-      out.faults.drops += peer.drops;
-      mine.digest = peer.digest;  // the chain ends on the last rank
-    }
-    out.digest = mine.digest;
-    if (!plan.empty()) {
-      out.digest = scenario::digest_mix(out.digest, out.faults.digest_word());
-    }
-  });
-  return out;
-}
-
-void expect_threaded_ranks_match_serial(const char* name, NodeId n,
-                                        std::uint64_t seed,
-                                        std::uint32_t faults) {
-  scenario::register_builtin();
-  const scenario::Scenario* s = Registry::instance().find(name);
-  ASSERT_NE(s, nullptr) << name;
-  const RunResult serial =
-      run(*s, n, seed, nullptr, scenario::EngineKind::kSync, 0.0, faults);
-  for (unsigned ranks : {2u, 4u}) {
-    const RunResult r = run_threaded_ranks(*s, n, seed, ranks, 2, faults);
-    EXPECT_EQ(r.digest, serial.digest) << name << " ranks=" << ranks;
-    EXPECT_TRUE(r.metrics == serial.metrics) << name << " ranks=" << ranks;
-    EXPECT_TRUE(r.faults == serial.faults) << name << " ranks=" << ranks;
-    EXPECT_EQ(r.completed, serial.completed);
-  }
+    plan.add({/*slot=*/400, sim::FaultKind::kNodeCrash, /*id=*/20});
+    return plan;
+  };
+  s.default_faults = 1;
+  EXPECT_GT(run(s, 32, 7).faults.orphaned_pkts, 0u);
+  expect_sharded_matches_serial(s, 32, 7, 0);
 }
 
 TEST(RankRun, ThreadsInsideRanksMatchSerial) {
-  expect_threaded_ranks_match_serial("global/min/rand/ring", 256, 11, 0);
-  expect_threaded_ranks_match_serial("global/min/det/random", 96, 7, 0);
-  expect_threaded_ranks_match_serial("fault/load/churn/ring", 64, 7, 1);
-  expect_threaded_ranks_match_serial("fault/load/churn/ring", 64, 7, 3);
+  expect_sharded_matches_serial("global/min/rand/ring", 256, 11, 0, 2);
+  expect_sharded_matches_serial("global/min/det/random", 96, 7, 0, 2);
+  expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 1, 2);
+  expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3, 2);
+}
+
+TEST(RankRun, UnshardableCellsAreRejectedBeforeAnyFork) {
+  // Two-phase recovery re-partitions mid-run and the asynchronous engine
+  // has no rank seam; both must throw in the caller.  A rank forked before
+  // the check would fail on its own and print its error, so the captured
+  // stderr stays empty only if nothing was forked.
+  scenario::register_builtin();
+  const scenario::Scenario* recovery = Registry::instance().find("fault/mst/random");
+  const scenario::Scenario* p2p = Registry::instance().find("global/min/p2p/grid");
+  const scenario::Scenario* load =
+      Registry::instance().find("load/poisson/resv/ring");
+  ASSERT_NE(recovery, nullptr);
+  ASSERT_NE(p2p, nullptr);
+  ASSERT_NE(load, nullptr);
+  const auto async = scenario::EngineKind::kAsync;
+  testing::internal::CaptureStderr();
+  EXPECT_THROW(run(*recovery, 64, 7, {.ranks = 2}), std::invalid_argument);
+  EXPECT_THROW(run(*p2p, 64, 7, {.engine = async, .ranks = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(run(*load, 64, 7, {.engine = async, .ranks = 4}),
+               std::invalid_argument);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(RankRun, ThrowingRankFailsTheRunInTheParentOnly) {
@@ -409,12 +371,11 @@ TEST(RankRun, CrossShardTrafficIsCounted) {
   scenario::register_builtin();
   const scenario::Scenario* s = Registry::instance().find("global/min/rand/ring");
   ASSERT_NE(s, nullptr);
-  ShardStats stats;
-  const RunResult r = run_sharded(*s, 64, 7, 2, 0.0, 0, &stats);
+  const RunResult r = run(*s, 64, 7, {.ranks = 2});
   EXPECT_NE(r.digest, 0u);
   // A ring split in two windows routes every wrap-around hop cross-shard.
-  EXPECT_GT(stats.xshard_msgs, 0u);
-  EXPECT_EQ(stats.boundary_edges, 2u);
+  EXPECT_GT(r.shard.xshard_msgs, 0u);
+  EXPECT_EQ(r.shard.boundary_edges, 2u);
 }
 
 }  // namespace

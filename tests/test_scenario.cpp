@@ -92,7 +92,7 @@ TEST(ScenarioRegistry, AsyncRunMatchesSyncResultsForChannelFreeScenarios) {
     const NodeId n = s.sweep_n.front();
     const RunResult sync = run(s, n, s.default_seed);
     const RunResult async =
-        run(s, n, s.default_seed, nullptr, EngineKind::kAsync);
+        run(s, n, s.default_seed, {.engine = EngineKind::kAsync});
     EXPECT_TRUE(async.completed) << s.name;
     // Different engine, different schedule — but the same computed results.
     EXPECT_EQ(sync.digest, async.digest) << s.name;
@@ -108,7 +108,7 @@ TEST(ScenarioRegistry, AsyncRunRejectsChannelUsingScenarios) {
   const Scenario* s = Registry::instance().find("mst/random");
   ASSERT_NE(s, nullptr);
   ASSERT_FALSE(s->channel_free);
-  EXPECT_THROW(run(*s, 64, 7, nullptr, EngineKind::kAsync),
+  EXPECT_THROW(run(*s, 64, 7, {.engine = EngineKind::kAsync}),
                std::invalid_argument);
 }
 

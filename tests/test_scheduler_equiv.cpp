@@ -54,8 +54,8 @@ TEST(SchedulerEquivalence, AllScenariosMatchSerialAcrossThreadCounts) {
     const NodeId n = s.sweep_n.front();
     const scenario::RunResult serial = scenario::run(s, n, s.default_seed);
     for (unsigned threads : kThreadCounts) {
-      const scenario::RunResult parallel = scenario::run(
-          s, n, s.default_seed, sim::make_scheduler(threads));
+      const scenario::RunResult parallel =
+          scenario::run(s, n, s.default_seed, {.threads = threads});
       EXPECT_TRUE(serial.metrics == parallel.metrics)
           << s.name << " with " << threads << " threads: metrics diverged\n"
           << "serial:   " << serial.metrics.to_string() << "\n"
@@ -92,13 +92,13 @@ TEST(SchedulerEquivalence, ScalarAndSimdDispatchBitIdentical) {
     const scenario::RunResult scalar_serial =
         scenario::run(s, n, s.default_seed);
     const scenario::RunResult scalar_par =
-        scenario::run(s, n, s.default_seed, sim::make_scheduler(4));
+        scenario::run(s, n, s.default_seed, {.threads = 4});
 
     simd::clear_level_override();  // back to the detected level
     const scenario::RunResult native_serial =
         scenario::run(s, n, s.default_seed);
     const scenario::RunResult native_par =
-        scenario::run(s, n, s.default_seed, sim::make_scheduler(4));
+        scenario::run(s, n, s.default_seed, {.threads = 4});
 
     EXPECT_TRUE(scalar_serial.metrics == native_serial.metrics)
         << s.name << ": serial metrics diverged across dispatch levels\n"
@@ -192,12 +192,13 @@ TEST(SchedulerEquivalence, AsyncScenariosMatchSerialAcrossThreadCounts) {
     ++async_capable;
     const NodeId n = s.sweep_n.front();
     const scenario::RunResult serial = scenario::run(
-        s, n, s.default_seed, nullptr, scenario::EngineKind::kAsync);
+        s, n, s.default_seed, {.engine = scenario::EngineKind::kAsync});
     ASSERT_TRUE(serial.completed) << s.name;
     for (unsigned threads : kThreadCounts) {
       const scenario::RunResult parallel =
-          scenario::run(s, n, s.default_seed, sim::make_scheduler(threads),
-                        scenario::EngineKind::kAsync);
+          scenario::run(s, n, s.default_seed,
+                        {.engine = scenario::EngineKind::kAsync,
+                         .threads = threads});
       EXPECT_TRUE(parallel.completed) << s.name;
       EXPECT_TRUE(serial.metrics == parallel.metrics)
           << s.name << " async with " << threads

@@ -6,7 +6,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "core/openloop.hpp"
 #include "graph/generators.hpp"
 #include "scenario/registry.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/traffic.hpp"
 #include "support/rng.hpp"
 
@@ -190,18 +188,17 @@ TEST(LatencyRecorder, BacklogIsArrivalsMinusDelivered) {
 
 // ---- end-to-end saturation behavior ----------------------------------------
 
-LoadReport sweep_point(sim::DisciplineKind discipline, double offered,
-                       std::unique_ptr<sim::Scheduler> scheduler = nullptr) {
-  const Graph g = build_topology(TopologySpec{TopoKind::kRing, 64, 7});
-  OpenLoopConfig config;
-  config.offered = offered;
-  config.horizon = 1500;
-  return run_open_loop(g, config, discipline, 7, std::move(scheduler));
+scenario::RunResult sweep_point(sim::DisciplineKind discipline,
+                                double offered, unsigned threads = 1) {
+  const scenario::Scenario s = scenario::open_loop_scenario(
+      "load/point/ring", "saturation sweep point", TopoKind::kRing,
+      OpenLoopConfig{.horizon = 1500}, offered, discipline, {64});
+  return scenario::run(s, 64, 7, {.threads = threads});
 }
 
-std::uint64_t total_backlog(const LoadReport& r) {
+std::uint64_t total_backlog(const scenario::RunResult& r) {
   std::uint64_t b = 0;
-  for (const sim::QosSummary& cls : r.classes) b += cls.backlog();
+  for (const sim::QosSummary& cls : r.qos) b += cls.backlog();
   return b;
 }
 
@@ -209,8 +206,8 @@ TEST(OpenLoopSaturation, FreeForAllLivelocksAndBacklogGrowsWithLoad) {
   // Two simultaneously backlogged stations re-collide every slot forever,
   // so free-for-all strands essentially the whole offered volume — and
   // strands more of it at higher load.
-  const LoadReport low = sweep_point(sim::DisciplineKind::kFreeForAll, 0.3);
-  const LoadReport high = sweep_point(sim::DisciplineKind::kFreeForAll, 0.9);
+  const scenario::RunResult low = sweep_point(sim::DisciplineKind::kFreeForAll, 0.3);
+  const scenario::RunResult high = sweep_point(sim::DisciplineKind::kFreeForAll, 0.9);
   EXPECT_GT(total_backlog(low), 64u);
   EXPECT_GT(total_backlog(high), total_backlog(low));
 }
@@ -219,22 +216,22 @@ TEST(OpenLoopSaturation, ReservationBoundsVoiceDelayPastSaturation) {
   // Offered 1.3 > 1 packet/slot is guaranteed oversaturation, yet the
   // reservation grant ring keeps the voice class's p99 delay tiny while
   // the best-effort data lane absorbs the overload.
-  const LoadReport r = sweep_point(sim::DisciplineKind::kReservation, 1.3);
+  const scenario::RunResult r = sweep_point(sim::DisciplineKind::kReservation, 1.3);
   const auto voice = static_cast<std::size_t>(sim::QosClass::kVoice);
   const auto data = static_cast<std::size_t>(sim::QosClass::kData);
-  EXPECT_GT(r.classes[voice].delivered, 100u);
-  EXPECT_LE(r.classes[voice].p99, 31u);
-  EXPECT_GT(r.classes[data].p99, r.classes[voice].p99);
+  EXPECT_GT(r.qos[voice].delivered, 100u);
+  EXPECT_LE(r.qos[voice].p99, 31u);
+  EXPECT_GT(r.qos[data].p99, r.qos[voice].p99);
 }
 
 TEST(OpenLoopSaturation, StabilizedAlohaDrainsWhereFreeForAllCannot) {
-  const LoadReport ffa = sweep_point(sim::DisciplineKind::kFreeForAll, 0.3);
-  const LoadReport pb =
+  const scenario::RunResult ffa = sweep_point(sim::DisciplineKind::kFreeForAll, 0.3);
+  const scenario::RunResult pb =
       sweep_point(sim::DisciplineKind::kPseudoBayesian, 0.3);
   EXPECT_LE(total_backlog(pb), 8u);       // boundary artifact at most
   EXPECT_GT(total_backlog(ffa), 100u);    // livelocked
   std::uint64_t pb_delivered = 0;
-  for (const sim::QosSummary& cls : pb.classes) pb_delivered += cls.delivered;
+  for (const sim::QosSummary& cls : pb.qos) pb_delivered += cls.delivered;
   EXPECT_GT(pb_delivered, 300u);
 }
 
@@ -244,21 +241,20 @@ TEST(OpenLoopSaturation, CappedRunsReportStatusWithIntactQos) {
   // capped prefix intact, on both engines, serial and parallel.
   // Pseudo-Bayesian at offered 6.0 generates ~16x the stabilized capacity,
   // so the drain window elapses with the backlog still standing.
-  const LoadReport serial =
+  const scenario::RunResult serial =
       sweep_point(sim::DisciplineKind::kPseudoBayesian, 6.0);
-  EXPECT_FALSE(serial.quiescent);
+  EXPECT_FALSE(serial.completed);
   std::uint64_t delivered = 0;
-  for (const sim::QosSummary& cls : serial.classes) delivered += cls.delivered;
+  for (const sim::QosSummary& cls : serial.qos) delivered += cls.delivered;
   EXPECT_GT(delivered, 0u);
   EXPECT_GT(total_backlog(serial), 0u);
-  const LoadReport parallel =
-      sweep_point(sim::DisciplineKind::kPseudoBayesian, 6.0,
-                  sim::make_scheduler(4));
-  EXPECT_FALSE(parallel.quiescent);
+  const scenario::RunResult parallel =
+      sweep_point(sim::DisciplineKind::kPseudoBayesian, 6.0, 4);
+  EXPECT_FALSE(parallel.completed);
   EXPECT_EQ(parallel.digest, serial.digest);
   for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-    EXPECT_EQ(parallel.classes[c].delivered, serial.classes[c].delivered);
-    EXPECT_EQ(parallel.classes[c].p99, serial.classes[c].p99);
+    EXPECT_EQ(parallel.qos[c].delivered, serial.qos[c].delivered);
+    EXPECT_EQ(parallel.qos[c].p99, serial.qos[c].p99);
   }
   // The same surface through the registry, both engines: the sync Engine
   // no longer aborts on a capped run — scenario::run relays RunStatus
@@ -267,20 +263,21 @@ TEST(OpenLoopSaturation, CappedRunsReportStatusWithIntactQos) {
   const scenario::Scenario* pb =
       scenario::Registry::instance().find("load/poisson/pb/ring");
   ASSERT_NE(pb, nullptr);
-  const scenario::RunResult sync_run = scenario::run(
-      *pb, 64, pb->default_seed, nullptr, scenario::EngineKind::kSync, 6.0);
+  const scenario::RunResult sync_run =
+      scenario::run(*pb, 64, pb->default_seed, {.load = 6.0});
   EXPECT_FALSE(sync_run.completed);
   EXPECT_EQ(sync_run.status, sim::RunStatus::kSlotCapReached);
   const scenario::Scenario* ffa =
       scenario::Registry::instance().find("load/poisson/ffa/ring");
   ASSERT_NE(ffa, nullptr);
   const scenario::RunResult async_run = scenario::run(
-      *ffa, 64, ffa->default_seed, nullptr, scenario::EngineKind::kAsync, 1.5);
+      *ffa, 64, ffa->default_seed,
+      {.engine = scenario::EngineKind::kAsync, .load = 1.5});
   EXPECT_FALSE(async_run.completed);
   EXPECT_EQ(async_run.status, sim::RunStatus::kSlotCapReached);
   const scenario::RunResult async_parallel = scenario::run(
-      *ffa, 64, ffa->default_seed, sim::make_scheduler(4),
-      scenario::EngineKind::kAsync, 1.5);
+      *ffa, 64, ffa->default_seed,
+      {.engine = scenario::EngineKind::kAsync, .threads = 4, .load = 1.5});
   EXPECT_EQ(async_parallel.digest, async_run.digest);
   EXPECT_EQ(async_parallel.status, async_run.status);
 }
@@ -291,16 +288,16 @@ TEST(OpenLoopEquivalence, SerialAndParallelRunsAreBitIdentical) {
   for (const sim::DisciplineKind kind :
        {sim::DisciplineKind::kFreeForAll, sim::DisciplineKind::kPseudoBayesian,
         sim::DisciplineKind::kReservation}) {
-    const LoadReport serial = sweep_point(kind, 0.7);
+    const scenario::RunResult serial = sweep_point(kind, 0.7);
     for (const unsigned threads : {2u, 4u, 8u}) {
-      const LoadReport parallel =
-          sweep_point(kind, 0.7, sim::make_scheduler(threads));
+      const scenario::RunResult parallel =
+          sweep_point(kind, 0.7, threads);
       EXPECT_EQ(parallel.digest, serial.digest)
           << sim::discipline_name(kind) << " with " << threads << " threads";
-      EXPECT_EQ(parallel.slots, serial.slots);
+      EXPECT_EQ(parallel.metrics.rounds, serial.metrics.rounds);
       for (std::size_t c = 0; c < sim::kNumQosClasses; ++c) {
-        EXPECT_EQ(parallel.classes[c].delivered, serial.classes[c].delivered);
-        EXPECT_EQ(parallel.classes[c].p99, serial.classes[c].p99);
+        EXPECT_EQ(parallel.qos[c].delivered, serial.qos[c].delivered);
+        EXPECT_EQ(parallel.qos[c].p99, serial.qos[c].p99);
       }
     }
   }
@@ -315,10 +312,10 @@ TEST(OpenLoopEquivalence, NativeAsyncLoadRunsAreSchedulerInvariant) {
       scenario::Registry::instance().find("load/poisson/resv/ring");
   ASSERT_NE(s, nullptr);
   const scenario::RunResult serial = scenario::run(
-      *s, 64, s->default_seed, nullptr, scenario::EngineKind::kAsync);
+      *s, 64, s->default_seed, {.engine = scenario::EngineKind::kAsync});
   const scenario::RunResult parallel = scenario::run(
-      *s, 64, s->default_seed, sim::make_scheduler(4),
-      scenario::EngineKind::kAsync);
+      *s, 64, s->default_seed,
+      {.engine = scenario::EngineKind::kAsync, .threads = 4});
   EXPECT_EQ(parallel.digest, serial.digest);
   EXPECT_EQ(parallel.metrics.rounds, serial.metrics.rounds);
   EXPECT_EQ(parallel.completed, serial.completed);

@@ -24,8 +24,9 @@ else
 fi
 
 # Scenario rows only (name, topology, discipline, numeric n, rounds, msgs,
-# digest, optional fault tail).  @async rows are serial-only — the sharded
-# driver covers the synchronous engine — so they are excluded from the diff.
+# digest, optional fault tail).  @async rows are excluded from the diff:
+# scenario::run shards only the synchronous engine, so the sweep skips them
+# under --ranks.
 rows() { awk 'NF>=7 && $4 ~ /^[0-9]+$/ && $0 !~ /@async/' "$1"; }
 
 tmp="$(mktemp -d)"
