@@ -1,7 +1,6 @@
 #include "channel/pseudo_bayesian.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
@@ -27,22 +26,12 @@ void RandomizedScheduler::observe(const sim::SlotObservation& obs,
                                   bool success_was_mine) {
   MMN_REQUIRE(!done_, "observe after scheduler finished");
   if (contention_lane()) {
-    switch (obs.state) {
-      case sim::SlotState::kCollision:
-        // Rivest's pseudo-Bayesian update: collisions reveal at least two
-        // stations; the Poisson posterior shifts up by 1/(e-2).
-        backlog_ += 1.0 / (std::exp(1.0) - 2.0);
-        break;
-      case sim::SlotState::kSuccess:
-        ++success_count_;
-        if (collect_successes_) successes_.push_back(obs.payload);
-        if (success_was_mine) pending_ = false;
-        backlog_ = std::max(1.0, backlog_ - 1.0);
-        break;
-      case sim::SlotState::kIdle:
-        backlog_ = std::max(1.0, backlog_ - 1.0);
-        break;
+    if (obs.success()) {
+      ++success_count_;
+      if (collect_successes_) successes_.push_back(obs.payload);
+      if (success_was_mine) pending_ = false;
     }
+    backlog_ = rivest_update(backlog_, obs.collision());
   } else {
     if (obs.idle()) done_ = true;  // no station pending anywhere
   }

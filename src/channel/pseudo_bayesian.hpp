@@ -16,12 +16,24 @@
 // assembled from the same busy-tone primitive as the Section 7 synchronizer.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "sim/channel.hpp"
 #include "support/rng.hpp"
 
 namespace mmn {
+
+/// Rivest's pseudo-Bayesian backlog update from one public slot outcome: a
+/// collision reveals at least two backlogged stations, so the Poisson
+/// posterior shifts up by 1/(e-2); an idle or success slot drains one
+/// expected station, floored at 1.  The one copy shared by the node-side
+/// RandomizedScheduler and the discipline-level sim::PseudoBayesianDiscipline.
+inline double rivest_update(double backlog, bool collision) {
+  return collision ? backlog + 1.0 / (std::exp(1.0) - 2.0)
+                   : std::max(1.0, backlog - 1.0);
+}
 
 class RandomizedScheduler {
  public:

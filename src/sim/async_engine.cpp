@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/fault.hpp"
 #include "support/check.hpp"
 
 namespace mmn::sim {
@@ -20,88 +19,39 @@ AsyncEngine::AsyncEngine(const Graph& g, const AsyncProcessFactory& factory,
   core_.slot_buckets().reset(n, kTicksPerSlot,
                              std::uint64_t{max_delay_slots} + 2);
   last_write_slot_.assign(n, static_cast<std::uint64_t>(-1));
-  processes_.reserve(n);
-  finished_flag_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    processes_.push_back(factory(core_.view(v)));
-    MMN_REQUIRE(processes_.back() != nullptr, "factory returned null process");
-    finished_flag_.push_back(processes_.back()->finished() ? 1 : 0);
-  }
-  core_.init_outstanding(finished_flag_);
+  processes_ = core_.build_processes(factory);
 }
 
 AsyncEngine::~AsyncEngine() = default;
-
-void AsyncEngine::install_faults(const FaultPlan& plan) {
-  MMN_REQUIRE(!started_ && faults_ == nullptr,
-              "install_faults: once, before the first slot");
-  faults_ = std::make_unique<FaultRuntime>(core_.graph(), plan);
-  core_.set_fault_runtime(faults_.get());
-}
 
 AsyncProcess& AsyncEngine::process(NodeId v) {
   MMN_REQUIRE(v < processes_.size(), "node id out of range");
   return *processes_[v];
 }
 
-const AsyncProcess& AsyncEngine::process(NodeId v) const {
-  MMN_REQUIRE(v < processes_.size(), "node id out of range");
-  return *processes_[v];
-}
-
-/// Folds the node's finished-transition (if any) into its shard's
-/// outstanding counter; called right after the node's handlers ran, so the
-/// batched count stays exact without an O(n) scan per slot.
-void AsyncEngine::note_finished(unsigned shard, NodeId v) {
-  const char done = processes_[v]->finished() ? 1 : 0;
-  if (done != finished_flag_[v]) {
-    finished_flag_[v] = done;
-    core_.outstanding(shard).count += done ? -1 : 1;
-  }
+AsyncContext AsyncEngine::context(unsigned shard, NodeId v,
+                                  std::uint64_t now) {
+  return AsyncContext(core_.view(v), core_.rng(v), core_.shard(shard),
+                      core_.round(), max_delay_ticks_, &last_write_slot_[v],
+                      now, core_.fault_overlay());
 }
 
 void AsyncEngine::start_node(unsigned shard, NodeId v) {
-  const EpochOverlay* overlay = nullptr;
-  if (faults_ != nullptr) [[unlikely]] {
-    overlay = &faults_->overlay();
-    if (!overlay->node_alive(v)) return;  // crashed at time zero
-  }
-  AsyncContext ctx(core_.view(v), core_.rng(v), core_.shard(shard),
-                   slot_index_, max_delay_ticks_, &last_write_slot_[v],
-                   /*now=*/0, overlay);
+  if (!core_.node_up(shard, v, 0)) return;  // crashed at time zero
+  AsyncContext ctx = context(shard, v, /*now=*/0);
   processes_[v]->start(ctx);
-  note_finished(shard, v);
-}
-
-void AsyncEngine::start_processes() {
-  core_.scheduler().for_each_node(
-      core_.num_nodes(), Scheduler::NodeFn{
-                             [](void* env, unsigned s, NodeId v) {
-                               static_cast<AsyncEngine*>(env)->start_node(s, v);
-                             },
-                             this});
-  core_.commit_async_phase();
-  started_ = true;
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 void AsyncEngine::deliver_node(unsigned shard, NodeId v) {
   SlotBuckets& buckets = core_.slot_buckets();
   const std::span<const StampedHeader> msgs = buckets.inbox(v);
   if (msgs.empty()) return;
-  const EpochOverlay* overlay = nullptr;
-  if (faults_ != nullptr) [[unlikely]] {
-    overlay = &faults_->overlay();
-    if (!overlay->node_alive(v)) {
-      // A crashed node's deliveries are lost-and-counted; the staged
-      // payloads are released wholesale by the next stage() call, so
-      // skipping the handlers leaks nothing.
-      core_.shard(shard).fault_drops += msgs.size();
-      return;
-    }
-  }
-  AsyncContext ctx(core_.view(v), core_.rng(v), core_.shard(shard),
-                   slot_index_, max_delay_ticks_, &last_write_slot_[v],
-                   /*now=*/0, overlay);
+  // A crashed node's deliveries are lost-and-counted; the staged payloads
+  // are released wholesale by the next stage() call, so skipping the
+  // handlers leaks nothing.
+  if (!core_.node_up(shard, v, msgs.size())) return;
+  AsyncContext ctx = context(shard, v, /*now=*/0);
   for (const StampedHeader& m : msgs) {
     ctx.set_now(m.tick);
     // Materialize the Received view over the pooled payload; the pool is
@@ -110,7 +60,7 @@ void AsyncEngine::deliver_node(unsigned shard, NodeId v) {
     const Received msg{m.from, m.via, &buckets.payload(m.ref)};
     processes_[v]->on_message(msg, ctx);
   }
-  note_finished(shard, v);
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 void AsyncEngine::run_delivery_phase() {
@@ -121,29 +71,22 @@ void AsyncEngine::run_delivery_phase() {
   // (tick, seq).  A cascade send lands at least one tick after the message
   // that triggered it, so each sub-round's earliest delivery tick strictly
   // grows and the loop runs at most kTicksPerSlot times per slot.
-  while (buckets.stage(slot_index_) > 0) {
-    core_.scheduler().for_each_node(
-        core_.num_nodes(),
-        Scheduler::NodeFn{[](void* env, unsigned s, NodeId v) {
-                            static_cast<AsyncEngine*>(env)->deliver_node(s, v);
-                          },
-                          this});
+  while (buckets.stage(core_.round()) > 0) {
+    core_.step_nodes(Scheduler::NodeFn{
+        [](void* env, unsigned s, NodeId v) {
+          static_cast<AsyncEngine*>(env)->deliver_node(s, v);
+        },
+        this});
     core_.commit_async_phase();
   }
 }
 
 void AsyncEngine::fanout_node(unsigned shard, NodeId v,
                               const SlotObservation& obs) {
-  const EpochOverlay* overlay = nullptr;
-  if (faults_ != nullptr) [[unlikely]] {
-    overlay = &faults_->overlay();
-    if (!overlay->node_alive(v)) return;  // crashed nodes do not step
-  }
-  AsyncContext ctx(core_.view(v), core_.rng(v), core_.shard(shard),
-                   slot_index_, max_delay_ticks_, &last_write_slot_[v],
-                   slot_index_ * kTicksPerSlot, overlay);
+  if (!core_.node_up(shard, v, 0)) return;  // crashed nodes do not step
+  AsyncContext ctx = context(shard, v, core_.round() * kTicksPerSlot);
   processes_[v]->on_slot(obs, ctx);
-  note_finished(shard, v);
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 void AsyncEngine::run_slot_fanout(const SlotObservation& obs) {
@@ -151,41 +94,39 @@ void AsyncEngine::run_slot_fanout(const SlotObservation& obs) {
     AsyncEngine* engine;
     const SlotObservation* obs;
   } env{this, &obs};
-  core_.scheduler().for_each_node(
-      core_.num_nodes(),
-      Scheduler::NodeFn{[](void* e, unsigned s, NodeId v) {
-                          auto* fe = static_cast<FanoutEnv*>(e);
-                          fe->engine->fanout_node(s, v, *fe->obs);
-                        },
-                        &env});
+  core_.step_nodes(Scheduler::NodeFn{[](void* e, unsigned s, NodeId v) {
+                                       auto* fe = static_cast<FanoutEnv*>(e);
+                                       fe->engine->fanout_node(s, v, *fe->obs);
+                                     },
+                                     &env});
   core_.commit_async_phase();
 }
 
 bool AsyncEngine::step(std::uint64_t slots) {
   if (status_ != RunStatus::kCompleted) status_ = RunStatus::kRunning;
-  if (!started_) {
+  if (!core_.started()) {
     // Slot-0 fault events apply before time zero: a node crashed at slot 0
     // never runs start().
-    if (faults_ != nullptr) [[unlikely]] {
-      faults_->apply_slot(slot_index_, core_.discipline());
-    }
-    start_processes();
+    core_.apply_faults();
+    core_.step_nodes(Scheduler::NodeFn{
+        [](void* env, unsigned s, NodeId v) {
+          static_cast<AsyncEngine*>(env)->start_node(s, v);
+        },
+        this});
+    core_.commit_async_phase();
   }
   for (std::uint64_t i = 0; i < slots; ++i) {
     if (status_ == RunStatus::kCompleted) return true;
     // Fault events due this slot apply at the boundary, single-threaded,
     // before the delivery phase — every phase of the slot sees the same
     // topology under every scheduler.
-    if (faults_ != nullptr) [[unlikely]] {
-      faults_->apply_slot(slot_index_, core_.discipline());
-    }
+    core_.apply_faults();
     // One slot = delivery phase, channel resolution at the boundary, then
     // the outcome fans out to every node (which may start the next slot's
     // writes and sends).
     run_delivery_phase();
     const SlotObservation obs = core_.resolve_slot();
-    ++core_.metrics().rounds;
-    ++slot_index_;
+    core_.advance_round();
     run_slot_fanout(obs);
     if (core_.all_finished() && core_.slot_buckets().in_flight() == 0 &&
         core_.channel_idle()) {

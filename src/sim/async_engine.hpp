@@ -16,13 +16,16 @@
 //
 // The engine is the slot-phase stepping policy over sim::RuntimeCore: the
 // views, RNG streams, channel, and metrics all live in the shared core —
-// identical state to the synchronous engine.  In-flight messages are filed
-// in the core's SlotBuckets arena (tick- and seq-stamped), and every slot
-// executes as a fixed phase sequence — delivery sub-rounds iterated to a
-// fixed point for intra-slot cascades, channel resolution at the boundary,
-// then the on_slot fan-out — each phase sharded over the same Serial /
-// ParallelScheduler as a synchronous round, with all effects staged per
-// shard and merged in ascending shard order.  Parallel asynchronous runs
+// identical state to the synchronous engine — and so do the finished
+// flags, the fault runtime and crash gate, the slot counter (the core's
+// round), and the fault-gated send staging AsyncContext shares with
+// NodeContext.  In-flight messages are filed in the core's SlotBuckets
+// arena (tick- and seq-stamped), and every slot executes as a fixed phase
+// sequence — delivery sub-rounds iterated to a fixed point for intra-slot
+// cascades, channel resolution at the boundary, then the on_slot fan-out —
+// each phase sharded over the same Serial / ParallelScheduler as a
+// synchronous round, with all effects staged per shard and merged in
+// ascending shard order.  Parallel asynchronous runs
 // are therefore bit-identical to serial ones for the same seed (the
 // determinism argument is spelled out in ARCHITECTURE.md).
 //
@@ -68,144 +71,68 @@ class AsyncProcess {
   virtual bool finished() const = 0;
 };
 
-/// Per-phase context of one node — a concrete final class (no virtual
-/// dispatch on the send path; the virtual seam is the AsyncProcess handler
-/// itself).  Every externally visible effect — sends (with their delivery
-/// tick already drawn from the node's own RNG stream), channel writes,
-/// message counts — is staged into the shard's buffer; the core commits
-/// shards in ascending order after the phase barrier, so the trace is
-/// scheduler-independent.  `now` is the simulated tick the node is acting
-/// at: the delivery tick of the message in hand, or the boundary tick
-/// during the on_slot fan-out.
-class AsyncContext final {
+/// Per-phase context of one node.  Every externally visible effect — sends
+/// (with their delivery tick already drawn from the node's own RNG stream),
+/// channel writes, message counts — is staged into the shard's buffer
+/// through the StagingContext path it shares with NodeContext; the core
+/// commits shards in ascending order after the phase barrier, so the trace
+/// is scheduler-independent.  `now` is the simulated tick the node is
+/// acting at: the delivery tick of the message in hand, or the boundary
+/// tick during the on_slot fan-out.
+class AsyncContext final : public StagingContext<AsyncContext> {
  public:
-  /// `faults` is the run's epoch overlay when fault injection is installed
-  /// (read-only during a phase — events apply at slot boundaries), null on
-  /// the fault-free fast path.
   AsyncContext(const LocalView& view, Rng& rng, ShardBuffer& shard,
                std::uint64_t slot_index, std::uint32_t max_delay_ticks,
                std::uint64_t* last_write_slot, std::uint64_t now,
                const EpochOverlay* faults = nullptr)
-      : view_(&view),
-        rng_(&rng),
-        shard_(&shard),
+      : StagingContext(view, rng, &shard, faults),
         last_write_slot_(last_write_slot),
-        faults_(faults),
         slot_index_(slot_index),
         now_(now),
         max_delay_ticks_(max_delay_ticks) {}
 
-  AsyncContext(const AsyncContext&) = delete;
-  AsyncContext& operator=(const AsyncContext&) = delete;
-
-  const LocalView& view() const { return *view_; }
-  Rng& rng() { return *rng_; }
-
   /// Index of the slot currently in progress.
   std::uint64_t slot_index() const { return slot_index_; }
 
-  /// Sends a message; it is delivered after a random bounded delay.
-  void send(EdgeId edge, const Packet& packet) {
-    const int idx = view_->link_index(edge);
-    MMN_REQUIRE(idx >= 0, "send over a link not incident to this node");
-    MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
-                "packet exceeds the O(log n) bound");
-    const Neighbor nb = view_->links()[static_cast<std::uint32_t>(idx)];
-    if (faults_ != nullptr &&
-        (!faults_->link_alive(edge) || !faults_->node_alive(nb.to)))
-        [[unlikely]] {
-      // Dropped at the sender; no delay is drawn — the packet never enters
-      // the medium.  (The overlay is identical under every scheduler, so
-      // the per-node RNG streams stay in lockstep too.)
-      ++shard_->fault_drops;
-      return;
-    }
-    const std::uint64_t delay = 1 + rng_->next_below(max_delay_ticks_);
-    shard_->async_outbox.push_back(AsyncMsgHeader{
-        now_ + delay, nb.to, view_->self, edge, shard_->stage_packet(packet)});
-    ++shard_->p2p_sent;
-  }
+  /// Sends a message; it is delivered after a random bounded delay.  A
+  /// send the fault gate drops draws no delay — the packet never enters
+  /// the medium, and the per-node RNG streams stay in lockstep under every
+  /// scheduler.
+  void send(EdgeId edge, const Packet& packet) { stage_send(edge, packet); }
 
-  /// Sends one packet to every neighbor, staging ONE pooled payload plus
-  /// deg(v) headers that share its ref (interned by commit_async_phase into
-  /// a single refcounted PacketPool slot).  Each neighbor still gets its
-  /// own delay draw, in ascending link order — exactly the RNG consumption
-  /// and header trace of `for (nb : links()) send(nb.edge, packet)`, so
-  /// converting a manual loop is bit-identical.
-  void broadcast(const Packet& packet) {
-    MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
-                "packet exceeds the O(log n) bound");
-    const NeighborRange links = view_->links();
-    const std::size_t deg = links.size();
-    if (deg == 0) return;
-    if (faults_ != nullptr) [[unlikely]] {
-      // Fault path mirrors NodeContext::broadcast: per-link liveness gate,
-      // payload staged lazily, survivors share one interned ref.  Dead
-      // links draw no delay.
-      PacketRef ref = 0;
-      bool staged = false;
-      for (std::size_t i = 0; i < deg; ++i) {
-        const Neighbor nb = links[i];
-        if (!faults_->link_alive(nb.edge) || !faults_->node_alive(nb.to)) {
-          ++shard_->fault_drops;
-          continue;
-        }
-        if (!staged) {
-          ref = shard_->stage_packet(packet);
-          staged = true;
-        }
-        const std::uint64_t delay = 1 + rng_->next_below(max_delay_ticks_);
-        shard_->async_outbox.push_back(
-            AsyncMsgHeader{now_ + delay, nb.to, view_->self, nb.edge, ref});
-        ++shard_->p2p_sent;
-      }
-      return;
-    }
-    const PacketRef ref = shard_->stage_packet(packet);
-    for (std::size_t i = 0; i < deg; ++i) {
-      const Neighbor nb = links[i];
-      const std::uint64_t delay = 1 + rng_->next_below(max_delay_ticks_);
-      shard_->async_outbox.push_back(
-          AsyncMsgHeader{now_ + delay, nb.to, view_->self, nb.edge, ref});
-    }
-    shard_->p2p_sent += deg;
-  }
+  /// Sends one packet to every neighbor through one interned payload
+  /// (StagingContext).  Each live neighbor still gets its own delay draw,
+  /// in ascending link order — exactly the RNG consumption and header
+  /// trace of `for (nb : links()) send(nb.edge, packet)`, so converting a
+  /// manual loop is bit-identical.
+  void broadcast(const Packet& packet) { stage_broadcast(packet); }
 
   /// Registers a write for the slot currently in progress.  Multiple writes
   /// per slot from one node collapse into one transmission: physically the
   /// node is already holding the medium for this slot.  The dedup slot is
   /// node-local state, so staging it here is shard-safe.
   void channel_write(const Packet& packet) {
-    MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
-                "packet exceeds the O(log n) bound");
+    require_bounded(packet);
     if (*last_write_slot_ == slot_index_) return;
     *last_write_slot_ = slot_index_;
     shard_->channel_writes.push_back(ChannelWrite{view_->self, packet});
   }
 
-  /// Open-loop accounting (sim/traffic.hpp), mirroring NodeContext: counts
-  /// fresh arrivals of class `cls` against this node's shard block.
-  void note_arrivals(QosClass cls, std::uint64_t count) {
-    shard_->latency->note_arrivals(cls, count);
-  }
-
-  /// Folds one delivered packet's enqueue->delivery delay (in slots) into
-  /// this node's shard block.
-  void record_latency(QosClass cls, std::uint64_t delay_slots) {
-    shard_->latency->record(cls, delay_slots);
-  }
-
-  NodeId self() const { return view_->self; }
-
   /// Engine-internal: advances the acting tick between deliveries.
   void set_now(std::uint64_t now) { now_ = now; }
 
  private:
-  const LocalView* view_;
-  Rng* rng_;
-  ShardBuffer* shard_;
+  friend class StagingContext<AsyncContext>;
+
+  /// The asynchronous header: the delivery tick is drawn here, per live
+  /// link, from the sender's own stream.
+  void emit(const Neighbor& nb, PacketRef ref) {
+    const std::uint64_t delay = 1 + rng_->next_below(max_delay_ticks_);
+    shard_->async_outbox.push_back(
+        AsyncMsgHeader{now_ + delay, nb.to, view_->self, nb.edge, ref});
+  }
+
   std::uint64_t* last_write_slot_;  ///< this node's write-dedup slot
-  const EpochOverlay* faults_ = nullptr;  ///< null => fault-free fast path
   std::uint64_t slot_index_;
   std::uint64_t now_;
   std::uint32_t max_delay_ticks_;
@@ -213,9 +140,6 @@ class AsyncContext final {
 
 using AsyncProcessFactory =
     std::function<std::unique_ptr<AsyncProcess>(const LocalView&)>;
-
-class FaultPlan;
-class FaultRuntime;
 
 class AsyncEngine {
  public:
@@ -260,11 +184,11 @@ class AsyncEngine {
   /// called before the first slot; events apply at slot boundaries, before
   /// the slot's delivery phase.  Messages already in flight over a link
   /// that dies mid-flight still deliver — faults gate the send commit.
-  void install_faults(const FaultPlan& plan);
+  void install_faults(const FaultPlan& plan) { core_.install_faults(plan); }
 
   /// The installed fault runtime (stats + overlay), or null.
-  const FaultRuntime* faults() const { return faults_.get(); }
-  FaultRuntime* faults() { return faults_.get(); }
+  const FaultRuntime* faults() const { return core_.faults(); }
+  FaultRuntime* faults() { return core_.faults(); }
 
   /// Per-class delay/backlog accounting of open-loop workloads
   /// (sim/traffic.hpp); untouched by closed-loop protocols.
@@ -274,26 +198,20 @@ class AsyncEngine {
   /// Termination is detected incrementally, like the synchronous engine:
   /// finished() must only change inside start/on_message/on_slot calls.
   AsyncProcess& process(NodeId v);
-  const AsyncProcess& process(NodeId v) const;
   NodeId num_nodes() const { return core_.num_nodes(); }
 
  private:
-  void start_processes();
+  AsyncContext context(unsigned shard, NodeId v, std::uint64_t now);
   void start_node(unsigned shard, NodeId v);
   void run_delivery_phase();
   void deliver_node(unsigned shard, NodeId v);
   void run_slot_fanout(const SlotObservation& obs);
   void fanout_node(unsigned shard, NodeId v, const SlotObservation& obs);
-  void note_finished(unsigned shard, NodeId v);
 
-  RuntimeCore core_;
+  RuntimeCore core_;  ///< its round() is the slot in progress
   std::vector<std::unique_ptr<AsyncProcess>> processes_;
-  std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   std::vector<std::uint64_t> last_write_slot_;  // per-node write dedup
-  std::vector<char> finished_flag_;  // per node; char: shard-safe writes
-  std::uint64_t slot_index_ = 0;
   std::uint32_t max_delay_ticks_;
-  bool started_ = false;
   RunStatus status_ = RunStatus::kRunning;
 };
 

@@ -1,8 +1,8 @@
 #include "sim/channel_discipline.hpp"
 
-#include <cmath>
 #include <utility>
 
+#include "channel/pseudo_bayesian.hpp"
 #include "support/check.hpp"
 
 namespace mmn::sim {
@@ -75,14 +75,14 @@ SlotObservation TdmaDiscipline::slot(std::span<const ChannelWrite> writes,
   return channel.resolve(metrics);
 }
 
-// ---- Capetanakis -----------------------------------------------------------
-
 void TdmaDiscipline::stifle(NodeId v) {
   if (v < pending_.size() && pending_[v].has_value()) {
     pending_[v].reset();
     --backlog_;
   }
 }
+
+// ---- Capetanakis -----------------------------------------------------------
 
 void CapetanakisDiscipline::reset(NodeId n) {
   MMN_REQUIRE(n >= 1, "tree resolution needs a non-empty id space");
@@ -158,11 +158,18 @@ void PseudoBayesianDiscipline::reset(NodeId n) {
 
 SlotObservation PseudoBayesianDiscipline::slot(
     std::span<const ChannelWrite> writes, Channel& channel, Metrics& metrics) {
-  for (const ChannelWrite& w : writes) {
-    MMN_REQUIRE(w.node < n_, "writer id out of range");
-    if (!pending_[w.node]) ++backlog_;
-    pending_[w.node] = w.packet;  // re-write replaces (head-of-line re-key)
-  }
+  for (const ChannelWrite& w : writes) file(w);
+  return contend(channel, metrics);
+}
+
+void PseudoBayesianDiscipline::file(const ChannelWrite& w) {
+  MMN_REQUIRE(w.node < n_, "writer id out of range");
+  if (!pending_[w.node]) ++backlog_;
+  pending_[w.node] = w.packet;  // re-write replaces (head-of-line re-key)
+}
+
+SlotObservation PseudoBayesianDiscipline::contend(Channel& channel,
+                                                  Metrics& metrics) {
   // Each pending station transmits with probability min(1, 1/nu).  Ascending
   // node order, one draw per pending station: the draw sequence is a pure
   // function of the committed write sequence and past outcomes.
@@ -173,14 +180,7 @@ SlotObservation PseudoBayesianDiscipline::slot(
     }
   }
   const SlotObservation obs = channel.resolve(metrics);
-  // Rivest's update, identical to channel/pseudo_bayesian.cpp: a collision
-  // reveals >= 2 backlogged stations, an idle or success slot drains one
-  // expected station from the estimate.
-  if (obs.collision()) {
-    nu_ += 1.0 / (std::exp(1.0) - 2.0);
-  } else {
-    nu_ = std::max(1.0, nu_ - 1.0);
-  }
+  nu_ = rivest_update(nu_, obs.collision());
   if (obs.success()) {
     pending_[obs.writer].reset();
     --backlog_;
@@ -198,9 +198,7 @@ void ReservationDiscipline::reset(NodeId n) {
   queue_size_ = 0;
   queued_.assign(n, 0);
   pending_.assign(n, Packet{});
-  nu_ = 1.0;
-  data_backlog_ = 0;
-  data_pending_.assign(n, std::nullopt);
+  data_.reset(n);
 }
 
 SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes,
@@ -223,8 +221,7 @@ SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes
       queue_[(queue_head_ + queue_size_) % queue_.size()] = w.node;
       ++queue_size_;
     } else {
-      if (!data_pending_[w.node]) ++data_backlog_;
-      data_pending_[w.node] = w.packet;
+      data_.file(w);
     }
   }
   // Pass 2 — resolve.  A non-empty queue owns the slot: the head station
@@ -240,23 +237,7 @@ SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes
     channel.write(v, pending_[v]);
     return channel.resolve(metrics);
   }
-  const double p = nu_ <= 1.0 ? 1.0 : 1.0 / nu_;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (data_pending_[v] && rng_.next_bernoulli(p)) {
-      channel.write(v, *data_pending_[v]);
-    }
-  }
-  const SlotObservation obs = channel.resolve(metrics);
-  if (obs.collision()) {
-    nu_ += 1.0 / (std::exp(1.0) - 2.0);
-  } else {
-    nu_ = std::max(1.0, nu_ - 1.0);
-  }
-  if (obs.success()) {
-    data_pending_[obs.writer].reset();
-    --data_backlog_;
-  }
-  return obs;
+  return data_.contend(channel, metrics);
 }
 
 void ReservationDiscipline::stifle(NodeId v) {
@@ -275,10 +256,7 @@ void ReservationDiscipline::stifle(NodeId v) {
     queue_size_ = kept;
     queued_[v] = 0;
   }
-  if (data_pending_[v].has_value()) {
-    data_pending_[v].reset();
-    --data_backlog_;
-  }
+  data_.stifle(v);
 }
 
 // ---- unslotted busy-tone emulation -----------------------------------------

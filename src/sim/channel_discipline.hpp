@@ -203,11 +203,20 @@ class PseudoBayesianDiscipline final : public ChannelDiscipline {
 
   const char* name() const override { return "pseudobayes"; }
   void reset(NodeId n) override;
+  /// file() every write, then contend().
   SlotObservation slot(std::span<const ChannelWrite> writes, Channel& channel,
                        Metrics& metrics) override;
   std::size_t backlog() const override { return backlog_; }
   bool defers() const override { return true; }
   void stifle(NodeId v) override;
+
+  /// Files one registered write as its station's pending transmission; a
+  /// re-write replaces it (the head-of-line re-key).
+  void file(const ChannelWrite& w);
+
+  /// Runs one slot's lottery over the pending stations, resolves it, and
+  /// folds the public outcome into the backlog estimate.
+  SlotObservation contend(Channel& channel, Metrics& metrics);
 
  private:
   Rng rng_;
@@ -226,35 +235,34 @@ class PseudoBayesianDiscipline final : public ChannelDiscipline {
 /// treats as a free side channel (exactly like the Section 7.2 busy tone —
 /// minislot traffic is below the slot's payload granularity).  A non-empty
 /// queue owns the slot and its head transmits exclusively; only queue-free
-/// slots fall through to the data lane, which runs the same pseudo-Bayesian
-/// lottery as PseudoBayesianDiscipline over the pending data stations.
+/// slots fall through to the data lane — a PseudoBayesianDiscipline over
+/// the pending data stations, seeded with the run seed.
 /// Reserved delay is therefore bounded by the queue occupancy (at most the
 /// number of reserved stations) independent of data load, while data keeps
 /// the leftover slots at ~1/e efficiency and starves first under overload —
 /// the bounded-delay/starvation split tests/test_traffic.cpp pins.
 class ReservationDiscipline final : public ChannelDiscipline {
  public:
-  explicit ReservationDiscipline(std::uint64_t seed) : rng_(seed) {}
+  explicit ReservationDiscipline(std::uint64_t seed) : data_(seed) {}
 
   const char* name() const override { return "reservation"; }
   void reset(NodeId n) override;
   SlotObservation slot(std::span<const ChannelWrite> writes, Channel& channel,
                        Metrics& metrics) override;
-  std::size_t backlog() const override { return queue_size_ + data_backlog_; }
+  std::size_t backlog() const override {
+    return queue_size_ + data_.backlog();
+  }
   bool defers() const override { return true; }
   void stifle(NodeId v) override;
 
  private:
-  Rng rng_;                     // data-lane lottery draws
+  PseudoBayesianDiscipline data_;  // the data lane
   NodeId n_ = 0;
   std::vector<NodeId> queue_;   // FIFO ring of granted stations, capacity n
   std::size_t queue_head_ = 0;
   std::size_t queue_size_ = 0;
   std::vector<char> queued_;    // per node: sitting in queue_?
   std::vector<Packet> pending_; // per queued node, replace semantics
-  double nu_ = 1.0;             // data lane's shared backlog estimate
-  std::size_t data_backlog_ = 0;
-  std::vector<std::optional<Packet>> data_pending_;  // replace semantics
 };
 
 }  // namespace mmn::sim

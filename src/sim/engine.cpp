@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/fault.hpp"
 #include "sim/rank.hpp"
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -32,19 +31,8 @@ Engine::Engine(const Graph& g, const ProcessFactory& factory,
                std::uint64_t seed, std::unique_ptr<Scheduler> scheduler,
                std::unique_ptr<ChannelDiscipline> discipline,
                shard_comm::Transport* transport)
-    : core_(g, seed, std::move(scheduler), std::move(discipline), transport) {
-  const NodeId n = core_.num_nodes();
-  processes_.reserve(n);
-  finished_flag_.reserve(n);
-  // Views are fully built by the core before any factory call: a process may
-  // inspect only its own view, but the vector must not reallocate afterwards.
-  for (NodeId v = 0; v < n; ++v) {
-    processes_.push_back(factory(core_.view(v)));
-    MMN_REQUIRE(processes_.back() != nullptr, "factory returned null process");
-    finished_flag_.push_back(processes_.back()->finished() ? 1 : 0);
-  }
-  core_.init_outstanding(finished_flag_);
-}
+    : core_(g, seed, std::move(scheduler), std::move(discipline), transport),
+      processes_(core_.build_processes(factory)) {}
 
 Engine::~Engine() = default;
 
@@ -64,49 +52,15 @@ const Process& Engine::process(NodeId v) const {
 /// scheduler through a raw function pointer, with a concrete NodeContext
 /// staging every externally visible effect into the shard's buffer — the
 /// core commits shards in ascending order, so the trace is
-/// scheduler-independent.
+/// scheduler-independent.  A crashed node does not step; whatever was
+/// delivered to it this round is lost-and-counted, not processed.
 void Engine::node_round(unsigned shard, NodeId v) {
-  const EpochOverlay* overlay = nullptr;
-  if (faults_ != nullptr) [[unlikely]] {
-    overlay = &faults_->overlay();
-    if (!overlay->node_alive(core_.window_lo() + v)) {
-      // A crashed node does not step; whatever was delivered to it this
-      // round is lost-and-counted, not processed.
-      core_.shard(shard).fault_drops += core_.inbox(v).size();
-      return;
-    }
-  }
-  NodeContext ctx(core_.view(v), core_.rng(v), core_.inbox(v), core_.slot(),
-                  core_.round(), core_.shard(shard), overlay);
+  const std::span<const Received> inbox = core_.inbox(v);
+  if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] return;
+  NodeContext ctx(core_.view(v), core_.rng(v), inbox, core_.slot(),
+                  core_.round(), core_.shard(shard), core_.fault_overlay());
   processes_[v]->round(ctx);
-  const char done = processes_[v]->finished() ? 1 : 0;
-  if (done != finished_flag_[v]) {
-    finished_flag_[v] = done;
-    core_.outstanding(shard).count += done ? -1 : 1;
-  }
-}
-
-void Engine::run_one_round() {
-  // Fault events scheduled for this slot apply before any shard steps, on
-  // one thread — every node of the round sees the same topology.
-  if (faults_ != nullptr) [[unlikely]] {
-    faults_->apply_slot(core_.round(), core_.discipline());
-  }
-  core_.run_round(Scheduler::NodeFn{
-      [](void* env, unsigned s, NodeId v) {
-        static_cast<Engine*>(env)->node_round(s, v);
-      },
-      this});
-}
-
-void Engine::install_faults(const FaultPlan& plan) {
-  MMN_REQUIRE(core_.round() == 0 && faults_ == nullptr,
-              "install_faults: once, before the first round");
-  // On a sharded run every rank replays the identical full plan against
-  // its own overlay replica (a windowed graph reports global n and m), so
-  // liveness tests and discipline stifles agree across ranks.
-  faults_ = std::make_unique<FaultRuntime>(core_.graph(), plan);
-  core_.set_fault_runtime(faults_.get());
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 bool Engine::step(std::uint64_t rounds) {
@@ -120,7 +74,11 @@ bool Engine::step(std::uint64_t rounds) {
       status_ = RunStatus::kCompleted;
       return true;
     }
-    run_one_round();
+    core_.run_round(Scheduler::NodeFn{
+        [](void* env, unsigned s, NodeId v) {
+          static_cast<Engine*>(env)->node_round(s, v);
+        },
+        this});
   }
   if (core_.all_finished() && core_.channel_idle()) {
     status_ = RunStatus::kCompleted;

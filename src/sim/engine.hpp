@@ -10,15 +10,15 @@
 // seed; per-node RNG streams are forked from it.
 //
 // The engine is a thin stepping policy over sim::RuntimeCore, which owns the
-// substrate (views, RNGs, channel, metrics, flat message arena); see
-// sim/runtime_core.hpp.  Node execution within a round is delegated to a
-// Scheduler — serial by default, or an std::thread pool that shards the node
-// set; both produce bit-identical results for the same seed
-// (sim/scheduler.hpp).  Termination is detected incrementally and batched
-// per shard: each shard keeps an outstanding (not-yet-finished) counter on
-// its own cache line, a node's finished() probe only touches that counter
-// on a transition, and the core sums the handful of shard counters after
-// the barrier — no per-node delta staging, no O(n) scan.
+// substrate (views, RNGs, channel, metrics, flat message arena) and the
+// bookkeeping both policies share: the finished flags and per-shard
+// outstanding counters, the fault runtime and crash gate, the round
+// counter, and the fault-gated staging behind NodeContext; see
+// sim/runtime_core.hpp.  What is left here is the lockstep order: one
+// Process::round per node per round.  Node execution within a round is
+// delegated to a Scheduler — serial by default, or an std::thread pool
+// that shards the node set; both produce bit-identical results for the
+// same seed (sim/scheduler.hpp).
 //
 // The same Engine runs one rank of a sharded multi-process run: built with a
 // RankSpec and a Transport it steps only its node window, and RuntimeCore
@@ -45,8 +45,6 @@
 
 namespace mmn::sim {
 
-class FaultPlan;
-class FaultRuntime;
 struct RankSpec;
 
 class Engine {
@@ -97,11 +95,11 @@ class Engine {
   /// called before the first round; the plan's events apply at slot
   /// boundaries, before the round's node phase.  One installation per
   /// engine — recovery flows build a fresh engine on the compacted graph.
-  void install_faults(const FaultPlan& plan);
+  void install_faults(const FaultPlan& plan) { core_.install_faults(plan); }
 
   /// The installed fault runtime (stats + overlay), or null.
-  const FaultRuntime* faults() const { return faults_.get(); }
-  FaultRuntime* faults() { return faults_.get(); }
+  const FaultRuntime* faults() const { return core_.faults(); }
+  FaultRuntime* faults() { return core_.faults(); }
 
   /// The run's metrics.  On a sharded run the slot and round counters are
   /// replicas of the serial run's, while p2p_messages counts only sends by
@@ -114,7 +112,7 @@ class Engine {
 
   /// Direct access to a node's process by global id (owned nodes only on
   /// a sharded run; for reading results and tests).  Mutating a process so
-  /// that finished() changes outside of round() breaks the engine's
+  /// that finished() changes outside of round() breaks the core's
   /// incrementally maintained finished count — finished() must only change
   /// inside round() calls.
   Process& process(NodeId v);
@@ -135,13 +133,10 @@ class Engine {
          shard_comm::Transport* transport);
 
   void node_round(unsigned shard, NodeId v);
-  void run_one_round();
 
   RuntimeCore core_;
   std::vector<std::unique_ptr<Process>> processes_;  ///< local index
-  std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   RunStatus status_ = RunStatus::kRunning;
-  std::vector<char> finished_flag_;  // per node; char: shard-safe writes
 };
 
 }  // namespace mmn::sim

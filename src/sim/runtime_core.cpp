@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstring>
 
-#include "sim/fault.hpp"
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
 #include "support/simd.hpp"
@@ -342,13 +341,13 @@ std::uint64_t RuntimeCore::boundary_edges() const {
   return seam_ != nullptr ? seam_->boundary_edges : 0;
 }
 
-void RuntimeCore::init_outstanding(const std::vector<char>& flags) {
+void RuntimeCore::init_outstanding() {
   const unsigned shards = scheduler_->shards();
   outstanding_.assign(shards, ShardOutstanding{});
   for (unsigned s = 0; s < shards; ++s) {
     const auto [first, last] = Scheduler::shard_range(num_nodes(), s, shards);
     for (NodeId v = first; v < last; ++v) {
-      outstanding_[s].count += flags[v] ? 0 : 1;
+      outstanding_[s].count += finished_[v] ? 0 : 1;
     }
   }
   remote_outstanding_ = 0;
@@ -364,6 +363,12 @@ void RuntimeCore::init_outstanding(const std::vector<char>& flags) {
   }
 }
 
+void RuntimeCore::install_faults(const FaultPlan& plan) {
+  MMN_REQUIRE(!started_ && faults_ == nullptr,
+              "install_faults: once, before any node has run");
+  faults_ = std::make_unique<FaultRuntime>(*graph_, plan);
+}
+
 SlotObservation RuntimeCore::resolve_slot() {
   const SlotObservation obs =
       discipline_->slot(slot_writes_, channel_, metrics_);
@@ -372,7 +377,10 @@ SlotObservation RuntimeCore::resolve_slot() {
 }
 
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
-  scheduler_->for_each_node(num_nodes(), fn);
+  // Fault events scheduled for this round apply before any shard steps, on
+  // one thread — every node of the round sees the same topology.
+  apply_faults();
+  step_nodes(fn);
   const unsigned shards = scheduler_->shards();
   for (unsigned s = 0; s < shards; ++s) {
     ShardBuffer& sb = shard(s);
@@ -390,8 +398,7 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   if (seam_ != nullptr) [[unlikely]] exchange_round();
   slot_ = resolve_slot();
   arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
-  ++round_;
-  ++metrics_.rounds;
+  advance_round();
 }
 
 /// The per-round rank seam, between the commit and the slot resolution:

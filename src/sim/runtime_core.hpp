@@ -4,8 +4,14 @@
 // AsyncEngine (Section 7) — simulate the same object: n nodes with local
 // views, per-node RNG streams forked from one seed, point-to-point links,
 // and one shared collision channel whose slot costs one time unit.
-// RuntimeCore owns that substrate exactly once; the engines are thin
-// stepping policies over it.
+// RuntimeCore owns that substrate exactly once, together with everything
+// both engines would otherwise keep twice: the fault runtime and the crash
+// gate in front of every handler call, the per-node finished flags and
+// their per-shard outstanding counters, and the one round/slot counter.
+// StagingContext is the fault-gated, payload-interning send path that
+// NodeContext and AsyncContext share.  The engines are thin stepping
+// policies over it: each adds only its stepping order and the header it
+// files per send.
 //
 // Hot-path data layout (the full argument lives in ARCHITECTURE.md):
 // message delivery is structure-of-arrays.  A staged send is a small POD
@@ -43,6 +49,7 @@
 #include "graph/graph.hpp"
 #include "sim/channel.hpp"
 #include "sim/channel_discipline.hpp"
+#include "sim/fault.hpp"
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/traffic.hpp"
@@ -51,8 +58,6 @@
 #include "support/rng.hpp"
 
 namespace mmn::sim {
-
-class FaultRuntime;
 
 namespace shard_comm {
 class Transport;
@@ -195,120 +200,102 @@ struct alignas(64) ShardBuffer {
 };
 
 /// One shard's count of not-yet-finished nodes within its static node range
-/// (Scheduler::shard_range).  The engines batch the per-node finished()
-/// probe into these counters: a probe only touches the counter on a
-/// finished-transition, each counter is written exclusively by its shard's
-/// worker (cache-line aligned — adjacent shards run on different threads),
-/// and the driver sums the handful of counters after the barrier.  This
-/// replaces the per-node finished-delta staging ShardBuffer used to carry.
+/// (Scheduler::shard_range).  RuntimeCore::note_finished batches the
+/// per-node finished() probe into these counters: a probe only touches the
+/// counter on a finished-transition, each counter is written exclusively by
+/// its shard's worker (cache-line aligned — adjacent shards run on
+/// different threads), and the core sums the handful of counters after the
+/// barrier.
 struct alignas(64) ShardOutstanding {
   std::int64_t count = 0;
 };
 
-/// Per-round API handed to a Process.  All sends happen "this round" and are
-/// delivered next round; at most one channel write per round.
+/// The staging half both per-node contexts share (NodeContext here,
+/// AsyncContext in sim/async_engine.hpp): the node's view and RNG stream,
+/// its shard buffer, and the fault-gated, payload-interning staging of
+/// point-to-point sends.  A stepping policy differs only in the header it
+/// files per surviving link — its private `emit(nb, ref)`: the synchronous
+/// header is plain, the asynchronous one carries a delay drawn inside emit,
+/// so after the fault gate and in ascending link order.
 ///
-/// A concrete final class, not an interface: the engine's hot path reaches
-/// send/inbox/channel_write without any virtual dispatch (the one virtual
-/// seam per node per round is Process::round itself).  The synchronizer
-/// (core/synchronizer.hpp), which runs synchronous Processes over the
-/// asynchronous engine, plugs in through the Sink escape hatch — a pair of
-/// raw function pointers taken only when no shard buffer is attached, so the
-/// engine path pays a single predictable null test.
-class NodeContext final {
+/// Static polymorphism: the base is templated on the final context, so the
+/// engine's hot path reaches send/broadcast/emit without any virtual
+/// dispatch (the one virtual seam per node per handler call is the process
+/// itself).
+template <class Policy>
+class StagingContext {
  public:
-  /// External effect sink for contexts not backed by an engine shard (the
-  /// busy-tone synchronizer's shim).  Both hooks are required.
-  struct Sink {
-    void (*send)(void* self, EdgeId edge, const Packet& packet) = nullptr;
-    void (*channel_write)(void* self, const Packet& packet) = nullptr;
-    void* self = nullptr;
-  };
+  StagingContext(const StagingContext&) = delete;
+  StagingContext& operator=(const StagingContext&) = delete;
 
-  /// Engine staging path: effects go to `shard`, merged after the barrier.
-  /// `faults` is the run's epoch overlay when fault injection is installed
-  /// (read-only during the round — events apply at slot boundaries), null on
-  /// the fault-free fast path.
-  NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
-              const SlotObservation& slot, std::uint64_t round,
-              ShardBuffer& shard, const EpochOverlay* faults = nullptr)
-      : view_(&view),
-        rng_(&rng),
-        slot_(&slot),
-        shard_(&shard),
-        faults_(faults),
-        inbox_(inbox),
-        round_(round) {}
-
-  /// Sink path: effects go through `sink` (synchronizer shim).
-  NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
-              const SlotObservation& slot, std::uint64_t round, Sink sink)
-      : view_(&view),
-        rng_(&rng),
-        slot_(&slot),
-        sink_(sink),
-        inbox_(inbox),
-        round_(round) {}
-
-  NodeContext(const NodeContext&) = delete;
-  NodeContext& operator=(const NodeContext&) = delete;
-
-  std::uint64_t round() const { return round_; }
   const LocalView& view() const { return *view_; }
   Rng& rng() { return *rng_; }
+  NodeId self() const { return view_->self; }
 
-  /// Messages delivered this round (a span into the round's flat arena;
-  /// valid only for the duration of the round call).
-  std::span<const Received> inbox() const { return inbox_; }
+  /// Open-loop accounting (sim/traffic.hpp): counts `count` fresh arrivals
+  /// of class `cls` against this node's shard block.  Engine-backed
+  /// contexts only — the synchronizer's sink contexts carry no shard, and
+  /// the open-loop workloads never run under it.
+  void note_arrivals(QosClass cls, std::uint64_t count) {
+    MMN_REQUIRE(shard_ != nullptr,
+                "open-loop accounting needs an engine-backed context");
+    shard_->latency->note_arrivals(cls, count);
+  }
 
-  /// The outcome of the previous round's channel slot.
-  const SlotObservation& slot() const { return *slot_; }
+  /// Folds one delivered packet's enqueue->delivery delay (in slots) into
+  /// the per-class histogram of this node's shard block.  Two array
+  /// increments and an add — the recorder allocates nothing in steady state.
+  void record_latency(QosClass cls, std::uint64_t delay_slots) {
+    MMN_REQUIRE(shard_ != nullptr,
+                "open-loop accounting needs an engine-backed context");
+    shard_->latency->record(cls, delay_slots);
+  }
 
-  /// Sends a packet over one of this node's incident links.
-  void send(EdgeId edge, const Packet& packet) {
-    if (shard_ == nullptr) [[unlikely]] {
-      sink_.send(sink_.self, edge, packet);
-      sent_message_ = true;
-      return;
-    }
-    const int idx = view_->link_index(edge);
-    MMN_REQUIRE(idx >= 0, "send over a link not incident to this node");
+ protected:
+  /// `faults` is the run's epoch overlay when fault injection is installed
+  /// (read-only during a phase — events apply at slot boundaries), null on
+  /// the fault-free fast path.
+  StagingContext(const LocalView& view, Rng& rng, ShardBuffer* shard,
+                 const EpochOverlay* faults)
+      : view_(&view), rng_(&rng), shard_(shard), faults_(faults) {}
+
+  static void require_bounded(const Packet& packet) {
     MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
                 "packet exceeds the O(log n) bound");
+  }
+
+  /// Stages one send over an incident link.  A send aimed at a dead link
+  /// or a dead endpoint is dropped-and-counted at the sender — nothing
+  /// leaves the node, so emit (and any delay draw in it) never runs.
+  /// Returns true if the send was staged.
+  bool stage_send(EdgeId edge, const Packet& packet) {
+    const int idx = view_->link_index(edge);
+    MMN_REQUIRE(idx >= 0, "send over a link not incident to this node");
+    require_bounded(packet);
     const Neighbor nb = view_->links()[static_cast<std::uint32_t>(idx)];
     if (faults_ != nullptr &&
         (!faults_->link_alive(edge) || !faults_->node_alive(nb.to)))
         [[unlikely]] {
-      ++shard_->fault_drops;  // dropped at the sender; nothing left the node
-      return;
+      ++shard_->fault_drops;
+      return false;
     }
-    shard_->outbox.push_back(
-        MsgHeader{nb.to, view_->self, edge, shard_->stage_packet(packet)});
+    policy().emit(nb, shard_->stage_packet(packet));
     ++shard_->p2p_sent;
-    sent_message_ = true;
+    return true;
   }
 
-  /// Sends one packet to every neighbor (ascending link order — exactly the
-  /// trace of `for (nb : links()) send(nb.edge, packet)`), staging ONE
+  /// Stages one packet to every neighbor (ascending link order — exactly
+  /// the trace of `for (nb : links()) send(nb.edge, packet)`), filing ONE
   /// pooled payload plus deg(v) headers that share its ref instead of
-  /// deg(v) payload copies.  Sharing needs no refcount here: the flip
-  /// recycles each round's pool wholesale, so every header of the round —
-  /// shared or not — expires with the pool two flips later.
-  void broadcast(const Packet& packet) {
-    if (shard_ == nullptr) [[unlikely]] {
-      // Sink path (busy-tone synchronizer): per-link sends, so the shim's
-      // ack accounting sees every message individually.
-      for (const Neighbor& nb : view_->links()) {
-        sink_.send(sink_.self, nb.edge, packet);
-        sent_message_ = true;
-      }
-      return;
-    }
-    MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
-                "packet exceeds the O(log n) bound");
+  /// deg(v) payload copies.  Sharing needs no refcount in the shard: the
+  /// synchronous flip recycles each round's pool wholesale, and the
+  /// asynchronous commit interns a run of equal refs into one refcounted
+  /// PacketPool slot.  Returns true if any header was staged.
+  bool stage_broadcast(const Packet& packet) {
+    require_bounded(packet);
     const NeighborRange links = view_->links();
     const std::size_t deg = links.size();
-    if (deg == 0) return;
+    if (deg == 0) return false;
     if (faults_ != nullptr) [[unlikely]] {
       // Fault path: per-link liveness gate, with the payload staged lazily
       // so a fully dark neighborhood stages nothing at all.  Surviving
@@ -325,19 +312,91 @@ class NodeContext final {
           ref = shard_->stage_packet(packet);
           staged = true;
         }
-        shard_->outbox.push_back(MsgHeader{nb.to, view_->self, nb.edge, ref});
+        policy().emit(nb, ref);
         ++shard_->p2p_sent;
+      }
+      return staged;
+    }
+    const PacketRef ref = shard_->stage_packet(packet);
+    for (std::size_t i = 0; i < deg; ++i) policy().emit(links[i], ref);
+    shard_->p2p_sent += deg;
+    return true;
+  }
+
+  Policy& policy() { return static_cast<Policy&>(*this); }
+
+  const LocalView* view_;
+  Rng* rng_;
+  ShardBuffer* shard_;  ///< null => NodeContext's sink path
+  const EpochOverlay* faults_;  ///< null => fault-free fast path
+};
+
+/// Per-round API handed to a Process.  All sends happen "this round" and are
+/// delivered next round; at most one channel write per round.
+///
+/// The synchronizer (core/synchronizer.hpp), which runs synchronous
+/// Processes over the asynchronous engine, plugs in through the Sink escape
+/// hatch — a pair of raw function pointers taken only when no shard buffer
+/// is attached, so the engine path pays a single predictable null test.
+class NodeContext final : public StagingContext<NodeContext> {
+ public:
+  /// External effect sink for contexts not backed by an engine shard (the
+  /// busy-tone synchronizer's shim).  Both hooks are required.
+  struct Sink {
+    void (*send)(void* self, EdgeId edge, const Packet& packet) = nullptr;
+    void (*channel_write)(void* self, const Packet& packet) = nullptr;
+    void* self = nullptr;
+  };
+
+  /// Engine staging path: effects go to `shard`, merged after the barrier.
+  NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
+              const SlotObservation& slot, std::uint64_t round,
+              ShardBuffer& shard, const EpochOverlay* faults = nullptr)
+      : StagingContext(view, rng, &shard, faults),
+        slot_(&slot),
+        inbox_(inbox),
+        round_(round) {}
+
+  /// Sink path: effects go through `sink` (synchronizer shim).
+  NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
+              const SlotObservation& slot, std::uint64_t round, Sink sink)
+      : StagingContext(view, rng, nullptr, nullptr),
+        slot_(&slot),
+        sink_(sink),
+        inbox_(inbox),
+        round_(round) {}
+
+  std::uint64_t round() const { return round_; }
+
+  /// Messages delivered this round (a span into the round's flat arena;
+  /// valid only for the duration of the round call).
+  std::span<const Received> inbox() const { return inbox_; }
+
+  /// The outcome of the previous round's channel slot.
+  const SlotObservation& slot() const { return *slot_; }
+
+  /// Sends a packet over one of this node's incident links.
+  void send(EdgeId edge, const Packet& packet) {
+    if (shard_ == nullptr) [[unlikely]] {
+      sink_.send(sink_.self, edge, packet);
+      sent_message_ = true;
+      return;
+    }
+    sent_message_ |= stage_send(edge, packet);
+  }
+
+  /// Sends one packet to every neighbor, interned (StagingContext).
+  void broadcast(const Packet& packet) {
+    if (shard_ == nullptr) [[unlikely]] {
+      // Sink path (busy-tone synchronizer): per-link sends, so the shim's
+      // ack accounting sees every message individually.
+      for (const Neighbor& nb : view_->links()) {
+        sink_.send(sink_.self, nb.edge, packet);
         sent_message_ = true;
       }
       return;
     }
-    const PacketRef ref = shard_->stage_packet(packet);
-    for (std::size_t i = 0; i < deg; ++i) {
-      const Neighbor nb = links[i];
-      shard_->outbox.push_back(MsgHeader{nb.to, view_->self, nb.edge, ref});
-    }
-    shard_->p2p_sent += deg;
-    sent_message_ = true;
+    sent_message_ |= stage_broadcast(packet);
   }
 
   /// Writes to the channel slot of the current round (at most once).
@@ -348,29 +407,9 @@ class NodeContext final {
       wrote_channel_ = true;
       return;
     }
-    MMN_REQUIRE(packet.size() <= Packet::kMaxWords,
-                "packet exceeds the O(log n) bound");
+    require_bounded(packet);
     wrote_channel_ = true;
     shard_->channel_writes.push_back(ChannelWrite{view_->self, packet});
-  }
-
-  /// Open-loop accounting (sim/traffic.hpp): counts `count` fresh arrivals
-  /// of class `cls` against this node's shard block.  Engine path only —
-  /// the synchronizer's sink contexts carry no shard, and the open-loop
-  /// workloads never run under it.
-  void note_arrivals(QosClass cls, std::uint64_t count) {
-    MMN_REQUIRE(shard_ != nullptr,
-                "open-loop accounting needs an engine-backed context");
-    shard_->latency->note_arrivals(cls, count);
-  }
-
-  /// Folds one delivered packet's enqueue->delivery delay (in slots) into
-  /// the per-class histogram of this node's shard block.  Two array
-  /// increments and an add — the recorder allocates nothing in steady state.
-  void record_latency(QosClass cls, std::uint64_t delay_slots) {
-    MMN_REQUIRE(shard_ != nullptr,
-                "open-loop accounting needs an engine-backed context");
-    shard_->latency->record(cls, delay_slots);
   }
 
   /// True if this node already wrote to the channel this round.
@@ -379,14 +418,15 @@ class NodeContext final {
   /// True if this node sent at least one point-to-point message this round.
   bool sent_message() const { return sent_message_; }
 
-  NodeId self() const { return view_->self; }
-
  private:
-  const LocalView* view_;
-  Rng* rng_;
+  friend class StagingContext<NodeContext>;
+
+  /// The synchronous header: delivered next round, no delay to draw.
+  void emit(const Neighbor& nb, PacketRef ref) {
+    shard_->outbox.push_back(MsgHeader{nb.to, view_->self, nb.edge, ref});
+  }
+
   const SlotObservation* slot_;
-  ShardBuffer* shard_ = nullptr;  ///< null => route through sink_
-  const EpochOverlay* faults_ = nullptr;  ///< null => fault-free fast path
   Sink sink_{};
   std::span<const Received> inbox_;
   std::uint64_t round_;
@@ -623,7 +663,11 @@ class SlotBuckets {
   PacketPool pool_;                     ///< payloads, commit -> delivery
 };
 
-/// The substrate both engines execute on.
+/// The substrate both engines execute on.  Besides the model state it owns
+/// every piece of bookkeeping the two stepping policies share: the process
+/// table's finished flags and per-shard outstanding counters, the fault
+/// runtime and the crash gate in front of every handler call, and the
+/// round/slot counter.  An engine adds only its stepping order.
 ///
 /// Per-node state is indexed by the local index v - window_lo() (equal to
 /// v on a single rank).  On rank r of K the arena flips K - 1 + shards()
@@ -657,25 +701,64 @@ class RuntimeCore {
   const Graph& graph() const { return *graph_; }
   const LocalView& view(NodeId v) const { return views_[v]; }
   Rng& rng(NodeId v) { return rngs_[v]; }
-  Channel& channel() { return channel_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const SlotObservation& slot() const { return slot_; }
   std::uint64_t round() const { return round_; }
   std::span<const Received> inbox(NodeId v) const { return arena_.inbox(v); }
-  Scheduler& scheduler() { return *scheduler_; }
   ShardBuffer& shard(unsigned s) { return shards_[own_ + s]; }
-  ChannelDiscipline& discipline() { return *discipline_; }
 
-  /// Sets the per-shard outstanding (not-yet-finished) counters from the
-  /// engine's finished flags (flags[v] != 0 means finished; local index),
-  /// sharded like the scheduler.  On a sharded run the ranks also swap
-  /// their totals once, since termination is checked before round 0.
-  void init_outstanding(const std::vector<char>& flags);
+  /// Builds one process per owned node from `factory` (every view exists
+  /// before the first call) and seeds the finished flags and per-shard
+  /// outstanding counters from each process's initial finished().  On a
+  /// sharded run the ranks also swap their totals once, since termination
+  /// is checked before round 0.
+  template <class Factory>
+  auto build_processes(const Factory& factory) {
+    std::vector<decltype(factory(views_[0]))> processes;
+    processes.reserve(num_nodes());
+    finished_.assign(num_nodes(), 0);
+    for (NodeId v = 0; v < num_nodes(); ++v) {
+      processes.push_back(factory(views_[v]));
+      MMN_REQUIRE(processes.back() != nullptr, "factory returned null process");
+      finished_[v] = processes.back()->finished() ? 1 : 0;
+    }
+    init_outstanding();
+    return processes;
+  }
 
-  /// Scheduler shard s's outstanding counter.  Written only by that
-  /// shard's worker, on a node's finished-transition.
-  ShardOutstanding& outstanding(unsigned s) { return outstanding_[s]; }
+  /// Runs `fn` over every owned node (local index) under the scheduler —
+  /// the one entry through which any node handler runs.
+  void step_nodes(Scheduler::NodeFn fn) {
+    started_ = true;
+    scheduler_->for_each_node(num_nodes(), fn);
+  }
+
+  /// True once any node handler has run (step_nodes was entered).
+  bool started() const { return started_; }
+
+  /// The crash gate in front of node v's (local index) handlers: false when
+  /// v is crashed — it does not step, and the `undelivered` messages handed
+  /// to it are lost-and-counted as shard s's fault drops.  One null test on
+  /// the fault-free path.
+  bool node_up(unsigned s, NodeId v, std::size_t undelivered) {
+    if (faults_ == nullptr) [[likely]] return true;
+    if (faults_->overlay().node_alive(lo_ + v)) return true;
+    shard(s).fault_drops += undelivered;
+    return false;
+  }
+
+  /// Folds node v's (local index) finished-transition, if any, into shard
+  /// s's outstanding counter.  Called by the shard's worker right after the
+  /// node's handlers ran, so the batched count stays exact without an O(n)
+  /// scan per round.
+  void note_finished(unsigned s, NodeId v, bool finished) {
+    const char done = finished ? 1 : 0;
+    if (done != finished_[v]) {
+      finished_[v] = done;
+      outstanding_[s].count += done ? -1 : 1;
+    }
+  }
 
   /// True when no node of any rank is outstanding.
   bool all_finished() const {
@@ -685,16 +768,42 @@ class RuntimeCore {
     return remote_outstanding_ == 0;
   }
 
-  /// Installs the fault runtime whose drop counters the commit paths merge
-  /// into (null = fault-free; the default).  Owned by the engine.
-  void set_fault_runtime(FaultRuntime* faults) { faults_ = faults; }
-  FaultRuntime* fault_runtime() { return faults_; }
+  /// Installs deterministic fault injection (sim/fault.hpp): once, before
+  /// any node has run.  On a sharded run every rank replays the identical
+  /// full plan against its own overlay replica (a windowed graph reports
+  /// global n and m), so liveness tests and discipline stifles agree
+  /// across ranks.
+  void install_faults(const FaultPlan& plan);
 
-  /// One lockstep round: runs `fn` over every owned node (local index)
-  /// under the scheduler, then commits deterministically — channel writes
-  /// and p2p sends merged in ascending shard order, on a sharded run
-  /// swapped with the other ranks (exchange_round), slot resolved, arena
-  /// flipped, round advanced.
+  /// The installed fault runtime (stats + overlay), or null.
+  FaultRuntime* faults() { return faults_.get(); }
+  const FaultRuntime* faults() const { return faults_.get(); }
+
+  /// The overlay contexts gate sends on; null on the fault-free path.
+  const EpochOverlay* fault_overlay() const {
+    return faults_ != nullptr ? &faults_->overlay() : nullptr;
+  }
+
+  /// Applies the fault events due at the current round, single-threaded,
+  /// before any node of it steps.  No-op without faults.
+  void apply_faults() {
+    if (faults_ != nullptr) [[unlikely]] {
+      faults_->apply_slot(round_, *discipline_);
+    }
+  }
+
+  /// Ends the current round (or asynchronous slot): the one round/slot
+  /// counter both policies read.
+  void advance_round() {
+    ++round_;
+    ++metrics_.rounds;
+  }
+
+  /// One lockstep round: applies the round's fault events, runs `fn` over
+  /// every owned node (local index) under the scheduler, then commits
+  /// deterministically — channel writes and p2p sends merged in ascending
+  /// shard order, on a sharded run swapped with the other ranks
+  /// (exchange_round), slot resolved, arena flipped, round advanced.
   void run_round(Scheduler::NodeFn fn);
 
   /// Cross-shard messages this rank sent to peers (headers on the wire);
@@ -736,6 +845,7 @@ class RuntimeCore {
  private:
   struct RankSeam;
 
+  void init_outstanding();
   void exchange_round();
 
   const Graph* graph_;
@@ -753,8 +863,10 @@ class RuntimeCore {
   std::vector<ChannelWrite> slot_writes_;  // staged for the current slot
   SlotObservation slot_;  // outcome of the previous round's slot
   Metrics metrics_;
-  FaultRuntime* faults_ = nullptr;  ///< engine-owned; drops merge here
-  std::uint64_t round_ = 0;
+  std::unique_ptr<FaultRuntime> faults_;  ///< null on the fault-free path
+  std::uint64_t round_ = 0;  ///< synchronous round = asynchronous slot
+  bool started_ = false;     ///< some node handler has run
+  std::vector<char> finished_;  ///< per node; char: shard-safe writes
   std::vector<ShardOutstanding> outstanding_;  ///< per scheduler shard
   std::int64_t remote_outstanding_ = 0;  ///< other ranks' total, last swap
   std::unique_ptr<RankSeam> seam_;  ///< null on a single rank

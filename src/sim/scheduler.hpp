@@ -56,8 +56,6 @@ class Scheduler {
   /// Runs fn for every node in [0, n); returns once all nodes ran (barrier).
   virtual void for_each_node(NodeId n, NodeFn fn) = 0;
 
-  virtual const char* name() const = 0;
-
   /// Contiguous node range [first, last) owned by `shard` of `shards`.
   static std::pair<NodeId, NodeId> shard_range(NodeId n, unsigned shard,
                                                unsigned shards) {
@@ -71,7 +69,6 @@ class SerialScheduler final : public Scheduler {
  public:
   unsigned shards() const override { return 1; }
   void for_each_node(NodeId n, NodeFn fn) override;
-  const char* name() const override { return "serial"; }
 };
 
 class ParallelScheduler final : public Scheduler {
@@ -85,7 +82,6 @@ class ParallelScheduler final : public Scheduler {
 
   unsigned shards() const override { return num_threads_; }
   void for_each_node(NodeId n, NodeFn fn) override;
-  const char* name() const override { return "parallel"; }
 
  private:
   void worker(unsigned shard);

@@ -1,6 +1,6 @@
 // Channel disciplines (sim/channel_discipline.hpp).
 //
-// Three families of guarantees:
+// Four families of guarantees:
 //   * agreement — for a writer schedule with no collisions (and, for TDMA,
 //     slot-aligned writers), every discipline yields the identical slot
 //     outcome sequence, unit-level and engine-level;
@@ -10,7 +10,9 @@
 //     collisions), both on hand-checked small cases;
 //   * unslotted accounting — the busy-tone emulation preserves every
 //     outcome of the free-for-all channel while its emergent tick envelope
-//     follows the no-jitter formula exactly.
+//     follows the no-jitter formula exactly;
+//   * crash withdrawal — stifle(v) removes exactly v's deferred write from
+//     every deferring discipline, and v never transmits afterwards.
 #include <memory>
 #include <vector>
 
@@ -280,11 +282,57 @@ TEST(ChannelDiscipline, SyncEngineDrainsDeferredBacklogBeforeCompleting) {
   }
 }
 
+TEST(ChannelDiscipline, StifleWithdrawsOnlyTheCrashedStation) {
+  // A node crash (sim/fault.hpp) calls stifle(v) on the run's discipline:
+  // v's deferred write must leave the backlog and never transmit, while
+  // the other station's write still drains.  With one station left, any
+  // collision during the drain could only be v transmitting.
+  constexpr NodeId kN = 8;
+  constexpr NodeId kCrashed = 3;
+  constexpr NodeId kOther = 5;
+  // Data-class payloads: the reservation MAC defers them to its data lane
+  // rather than granting the first one a collision-free slot at once.
+  const auto write = [](NodeId v) {
+    return sim::ChannelWrite{
+        v, sim::Packet(sim::qos_tagged(1, sim::QosClass::kData),
+                       {sim::Word{v}})};
+  };
+  for (const sim::DisciplineKind kind :
+       {sim::DisciplineKind::kTdma, sim::DisciplineKind::kCapetanakis,
+        sim::DisciplineKind::kPseudoBayesian,
+        sim::DisciplineKind::kReservation}) {
+    auto d = sim::make_discipline(kind);
+    d->reset(kN);
+    sim::Channel channel;
+    Metrics metrics;
+    const std::vector<sim::ChannelWrite> writes = {write(kCrashed),
+                                                   write(kOther)};
+    ASSERT_FALSE(d->slot(writes, channel, metrics).success()) << d->name();
+    ASSERT_EQ(d->backlog(), 2u) << d->name();
+    d->stifle(kCrashed);
+    EXPECT_EQ(d->backlog(), 1u) << d->name();
+    bool other_sent = false;
+    for (int s = 0; s < 1000 && d->backlog() > 0; ++s) {
+      const sim::SlotObservation obs = d->slot({}, channel, metrics);
+      EXPECT_FALSE(obs.collision()) << d->name() << " slot " << s;
+      if (obs.success()) {
+        EXPECT_NE(obs.writer, kCrashed) << d->name() << " slot " << s;
+        other_sent = other_sent || obs.writer == kOther;
+      }
+    }
+    EXPECT_EQ(d->backlog(), 0u) << d->name();
+    EXPECT_TRUE(other_sent) << d->name();
+  }
+}
+
 TEST(ChannelDiscipline, DeferringPolicyFlagsMatchBehavior) {
   EXPECT_FALSE(sim::make_discipline(sim::DisciplineKind::kFreeForAll)->defers());
   EXPECT_FALSE(sim::make_discipline(sim::DisciplineKind::kUnslotted)->defers());
   EXPECT_TRUE(sim::make_discipline(sim::DisciplineKind::kTdma)->defers());
   EXPECT_TRUE(sim::make_discipline(sim::DisciplineKind::kCapetanakis)->defers());
+  EXPECT_TRUE(
+      sim::make_discipline(sim::DisciplineKind::kPseudoBayesian)->defers());
+  EXPECT_TRUE(sim::make_discipline(sim::DisciplineKind::kReservation)->defers());
 }
 
 }  // namespace

@@ -320,6 +320,18 @@ TEST(FaultDegradation, CrashedStationsOrphanBacklogAndDeadLinksDrop) {
     EXPECT_LT(faulted.delivered_ratio, fault_free.delivered_ratio);
     // The fault-free run carries a zeroed degradation section.
     EXPECT_TRUE(fault_free.faults == sim::FaultStats{});
+    // The crash gate and orphan accounting are scheduler-invariant: no
+    // registered sweep cell leaves a station down at run end, so this is
+    // where threaded orphan counts are compared with the serial run's.
+    for (const unsigned threads : {2u, 4u}) {
+      const scenario::RunResult parallel = scenario::run(
+          crashed, 32, 7, {.engine = kind, .threads = threads});
+      EXPECT_EQ(parallel.digest, faulted.digest)
+          << (kind == scenario::EngineKind::kSync ? "sync" : "async")
+          << " with " << threads << " threads";
+      EXPECT_TRUE(parallel.faults == faulted.faults);
+      EXPECT_GT(parallel.faults.orphaned_pkts, 0u);
+    }
   }
 }
 
