@@ -69,9 +69,13 @@ void SteppedProcess::round(sim::NodeContext& ctx) {
   if (spec_.kind == StepKind::kBarrier) {
     MMN_ASSERT(!ctx.wrote_channel(),
                "barrier steps reserve the channel for busy tones");
-    if (!step_done(step_) || ctx.sent_message()) {
+    const bool done = step_done(step_);
+    if (!done || ctx.sent_message()) {
       ctx.channel_write(sim::Packet(kBusyTone));
     }
+    // Reactive barrier (see stepped.hpp): until a message arrives or the
+    // step's idle slot ends it, this node's rounds are no-ops.
+    if (done) ctx.sleep();
   }
 
   slot_owner_ = step_;

@@ -24,6 +24,20 @@
 // Subclasses receive step-scoped callbacks and never touch the barrier
 // machinery.  Because transitions depend only on globally shared signals,
 // every node is always in the same step.
+//
+// Barrier steps are reactive, and that is a contract every subclass keeps:
+// during a kBarrier step, in a round whose inbox is empty, a node whose
+// step_done() holds does not act in step_round or on_slot — no RNG draw, no
+// send, no channel write, no change to state anyone reads.  Such a node has
+// nothing to do until a message reaches it or the step's first idle slot
+// ends the step for everyone, so SteppedProcess asks the engine to let it
+// sleep until then (NodeContext::sleep) at the end of every barrier-step
+// round in which step_done() holds, and the engine steps only the nodes
+// that have work (see sim/runtime_core.hpp, "active set").  A sleeping
+// node's skipped rounds would have been no-ops, so results are bit-identical
+// to stepping it; tests/test_active_set.cpp audits every registered
+// scenario for this.  Fixed and observed steps never sleep: a TDMA slot
+// index and every slot's fold are per-round work.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +69,14 @@ class SteppedProcess : public sim::Process {
   static constexpr std::uint16_t kBusyTone = 0xFFFF;
 
   /// Rounds elapsed inside the current step (0 in the step's first round);
-  /// the slot index for kFixed TDMA schedules.
-  std::uint64_t rounds_in_step() const { return rounds_in_step_; }
+  /// the slot index for kFixed TDMA schedules.  Counts executed rounds, so
+  /// it is not available in a barrier step, whose rounds a node may sleep
+  /// through.
+  std::uint64_t rounds_in_step() const {
+    MMN_ASSERT(spec_.kind != StepKind::kBarrier,
+               "rounds_in_step() is stale in a barrier step (nodes sleep)");
+    return rounds_in_step_;
+  }
 
   /// Number of steps; may grow as shared information arrives, but must
   /// evaluate identically at every node in every round.
@@ -86,7 +106,9 @@ class SteppedProcess : public sim::Process {
 
   /// kBarrier: local-idleness predicate.  The default (true) suits reactive
   /// protocols where all activity is triggered by messages; the framework's
-  /// sent-this-round busy tone keeps causal chains alive.
+  /// sent-this-round busy tone keeps causal chains alive.  While it holds
+  /// and the inbox is empty, step_round and on_slot must not act (the
+  /// reactive-barrier contract above).
   virtual bool step_done(std::uint64_t step) const;
 
   /// kObserved: end predicate, a function of the observations already fed to

@@ -1,5 +1,6 @@
 #include "sim/channel_discipline.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "channel/pseudo_bayesian.hpp"
@@ -144,16 +145,23 @@ void CapetanakisDiscipline::stifle(NodeId v) {
 void PseudoBayesianDiscipline::stifle(NodeId v) {
   if (v < pending_.size() && pending_[v].has_value()) {
     pending_[v].reset();
-    --backlog_;
+    withdraw(v);
   }
+}
+
+void PseudoBayesianDiscipline::withdraw(NodeId v) {
+  const auto it =
+      std::lower_bound(pending_ids_.begin(), pending_ids_.end(), v);
+  MMN_ASSERT(it != pending_ids_.end() && *it == v, "station is not pending");
+  pending_ids_.erase(it);
 }
 
 void PseudoBayesianDiscipline::reset(NodeId n) {
   MMN_REQUIRE(n >= 1, "stabilized Aloha needs at least one station");
   n_ = n;
   nu_ = 1.0;
-  backlog_ = 0;
   pending_.assign(n, std::nullopt);
+  pending_ids_.clear();
 }
 
 SlotObservation PseudoBayesianDiscipline::slot(
@@ -164,7 +172,11 @@ SlotObservation PseudoBayesianDiscipline::slot(
 
 void PseudoBayesianDiscipline::file(const ChannelWrite& w) {
   MMN_REQUIRE(w.node < n_, "writer id out of range");
-  if (!pending_[w.node]) ++backlog_;
+  if (!pending_[w.node]) {
+    pending_ids_.insert(
+        std::lower_bound(pending_ids_.begin(), pending_ids_.end(), w.node),
+        w.node);
+  }
   pending_[w.node] = w.packet;  // re-write replaces (head-of-line re-key)
 }
 
@@ -174,16 +186,14 @@ SlotObservation PseudoBayesianDiscipline::contend(Channel& channel,
   // node order, one draw per pending station: the draw sequence is a pure
   // function of the committed write sequence and past outcomes.
   const double p = nu_ <= 1.0 ? 1.0 : 1.0 / nu_;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (pending_[v] && rng_.next_bernoulli(p)) {
-      channel.write(v, *pending_[v]);
-    }
+  for (const NodeId v : pending_ids_) {
+    if (rng_.next_bernoulli(p)) channel.write(v, *pending_[v]);
   }
   const SlotObservation obs = channel.resolve(metrics);
   nu_ = rivest_update(nu_, obs.collision());
   if (obs.success()) {
     pending_[obs.writer].reset();
-    --backlog_;
+    withdraw(obs.writer);
   }
   return obs;
 }

@@ -206,7 +206,7 @@ class PseudoBayesianDiscipline final : public ChannelDiscipline {
   /// file() every write, then contend().
   SlotObservation slot(std::span<const ChannelWrite> writes, Channel& channel,
                        Metrics& metrics) override;
-  std::size_t backlog() const override { return backlog_; }
+  std::size_t backlog() const override { return pending_ids_.size(); }
   bool defers() const override { return true; }
   void stifle(NodeId v) override;
 
@@ -219,11 +219,16 @@ class PseudoBayesianDiscipline final : public ChannelDiscipline {
   SlotObservation contend(Channel& channel, Metrics& metrics);
 
  private:
+  /// Takes v off the pending list (v must be on it).
+  void withdraw(NodeId v);
+
   Rng rng_;
   NodeId n_ = 0;
   double nu_ = 1.0;
-  std::size_t backlog_ = 0;
   std::vector<std::optional<Packet>> pending_;  // per node, replace semantics
+  /// The pending stations, ascending — the lottery's draw order.  Its size
+  /// is the backlog; a slot costs O(backlog), not O(n).
+  std::vector<NodeId> pending_ids_;
 };
 
 /// The PAPERS.md multimedia MAC: reservation minislots for the

@@ -49,18 +49,23 @@ const Process& Engine::process(NodeId v) const {
 }
 
 /// The per-node body of one round (v is the local index); reached from the
-/// scheduler through a raw function pointer, with a concrete NodeContext
-/// staging every externally visible effect into the shard's buffer — the
-/// core commits shards in ascending order, so the trace is
+/// core's shard loop through a raw function pointer, with a concrete
+/// NodeContext staging every externally visible effect into the shard's
+/// buffer — the core commits shards in ascending order, so the trace is
 /// scheduler-independent.  A crashed node does not step; whatever was
-/// delivered to it this round is lost-and-counted, not processed.
+/// delivered to it this round is lost-and-counted, not processed, and it
+/// stays awake.
 void Engine::node_round(unsigned shard, NodeId v) {
   const std::span<const Received> inbox = core_.inbox(v);
-  if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] return;
+  if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] {
+    core_.note_sleep(shard, v, false);
+    return;
+  }
   NodeContext ctx(core_.view(v), core_.rng(v), inbox, core_.slot(),
                   core_.round(), core_.shard(shard), core_.fault_overlay());
   processes_[v]->round(ctx);
   core_.note_finished(shard, v, processes_[v]->finished());
+  core_.note_sleep(shard, v, ctx.sleep_requested());
 }
 
 bool Engine::step(std::uint64_t rounds) {

@@ -15,7 +15,11 @@
 // outstanding counters, the fault runtime and crash gate, the round
 // counter, and the fault-gated staging behind NodeContext; see
 // sim/runtime_core.hpp.  What is left here is the lockstep order: one
-// Process::round per node per round.  Node execution within a round is
+// Process::round per active node per round.  A node is active unless it
+// asked to sleep (NodeContext::sleep) and neither a message nor an idle
+// slot has woken it since — the core's active set, which steps a sleeping
+// barrier-step node (core/stepped.hpp) only when it has work, with results
+// bit-identical to stepping every node.  Node execution within a round is
 // delegated to a Scheduler — serial by default, or an std::thread pool
 // that shards the node set; both produce bit-identical results for the
 // same seed (sim/scheduler.hpp).
@@ -26,11 +30,11 @@
 // (sim/rank.hpp, sim/shard_comm.hpp).  Threads inside a rank come from the
 // same optional Scheduler.
 //
-// The per-node hot path is devirtualized end to end: the scheduler reaches
-// node_round through a raw function pointer, and NodeContext is a concrete
-// final class (sim/runtime_core.hpp) staging effects straight into the
-// shard buffer — the only virtual call per node per round is Process::round
-// itself.  The same Process still runs on the asynchronous engine
+// The per-node hot path is devirtualized end to end: the core's shard loop
+// reaches node_round through a raw function pointer, and NodeContext is a
+// concrete final class (sim/runtime_core.hpp) staging effects straight into
+// the shard buffer — the only virtual call per stepped node (not per node:
+// sleeping nodes cost nothing) is Process::round itself.  The same Process still runs on the asynchronous engine
 // underneath the busy-tone synchronizer of Section 7.1, which feeds
 // NodeContext through its sink hooks (see core/synchronizer.hpp).
 #pragma once

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -343,17 +344,17 @@ std::uint64_t RuntimeCore::boundary_edges() const {
 
 void RuntimeCore::init_outstanding() {
   const unsigned shards = scheduler_->shards();
-  outstanding_.assign(shards, ShardOutstanding{});
+  shard_state_.assign(shards, ShardState{});
   for (unsigned s = 0; s < shards; ++s) {
     const auto [first, last] = Scheduler::shard_range(num_nodes(), s, shards);
     for (NodeId v = first; v < last; ++v) {
-      outstanding_[s].count += finished_[v] ? 0 : 1;
+      shard_state_[s].outstanding += (flags_[v] & kFinished) ? 0 : 1;
     }
   }
   remote_outstanding_ = 0;
   if (seam_ == nullptr) return;
   std::int64_t local = 0;
-  for (const ShardOutstanding& s : outstanding_) local += s.count;
+  for (const ShardState& s : shard_state_) local += s.outstanding;
   shard_comm::encode_count(local, seam_->out_blob);
   for (unsigned peer = 0; peer < seam_->ranks(); ++peer) {
     if (peer == own_) continue;
@@ -376,13 +377,48 @@ SlotObservation RuntimeCore::resolve_slot() {
   return obs;
 }
 
+void RuntimeCore::step_shards(Scheduler::NodeFn fn, bool lists) {
+  started_ = true;
+  struct Pass {
+    RuntimeCore* core;
+    Scheduler::NodeFn fn;
+    bool lists;
+  } pass{this, fn, lists};
+  scheduler_->for_each_shard(Scheduler::ShardFn{
+      [](void* env, unsigned s) {
+        const Pass& p = *static_cast<const Pass*>(env);
+        p.core->shard_loop(s, p.fn, p.lists);
+      },
+      &pass});
+}
+
+/// The one per-node loop of every round and slot phase, run by shard s's
+/// worker: the shard's whole range, or on a list round its ascending active
+/// list.  Either way nodes run in ascending order, so the shard-major commit
+/// that follows sees the serial order.  The hottest dispatch in the
+/// simulator: one raw indirect call per stepped node, no std::function
+/// thunk between the scheduler and node code.
+void RuntimeCore::shard_loop(unsigned s, Scheduler::NodeFn fn, bool lists) {
+  if (lists) {
+    ShardState& st = shard_state_[s];
+    st.awake.clear();
+    for (const NodeId v : st.active) fn(s, v);
+    return;
+  }
+  const auto [first, last] =
+      Scheduler::shard_range(num_nodes(), s, scheduler_->shards());
+  for (NodeId v = first; v < last; ++v) fn(s, v);
+}
+
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   // Fault events scheduled for this round apply before any shard steps, on
   // one thread — every node of the round sees the same topology.
   apply_faults();
-  step_nodes(fn);
+  step_shards(fn, lists_);
   const unsigned shards = scheduler_->shards();
   for (unsigned s = 0; s < shards; ++s) {
+    sleepers_ += shard_state_[s].slept;
+    shard_state_[s].slept = 0;
     ShardBuffer& sb = shard(s);
     for (ChannelWrite& w : sb.channel_writes) {
       slot_writes_.push_back(std::move(w));
@@ -397,8 +433,68 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   }
   if (seam_ != nullptr) [[unlikely]] exchange_round();
   slot_ = resolve_slot();
+  // Nobody asleep (every round of a run where nobody asks): the next round
+  // is dense and no list is built.  A list round leaves sleepers behind, so
+  // lists_ is already false here.
+  if (sleepers_ != 0) plan_active_set();
   arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
   advance_round();
+}
+
+/// Builds the next round's active set from this round's sleep requests, the
+/// slot just resolved, and the headers about to be flipped.  The slot is
+/// replicated on every rank and the headers include the ingress from other
+/// ranks (already rebased to local ids), so a rank plans its window alone.
+///  * An idle slot wakes every sleeper: the next round is dense.
+///  * Otherwise every destination of a header wakes, and a shard's next list
+///    is its awake list merged with its woken nodes — both ascending, and
+///    disjoint, since an awake node has no sleep flag to clear.  After a
+///    dense round there is no awake list; the list is read off the flags.
+/// Lists and scratch are reserved at their bound on first use, so a
+/// warmed-up run plans without allocating.
+void RuntimeCore::plan_active_set() {
+  if (slot_.idle()) {
+    for (char& f : flags_) f &= ~kAsleep;
+    sleepers_ = 0;
+    lists_ = false;
+    return;
+  }
+  woken_.reserve(num_nodes());
+  woken_.clear();
+  for (const ShardBuffer& sb : shards_) {
+    for (const MsgHeader& h : sb.outbox) {
+      if ((flags_[h.to] & kAsleep) != 0) {
+        flags_[h.to] &= ~kAsleep;
+        woken_.push_back(h.to);
+      }
+    }
+  }
+  sleepers_ -= woken_.size();
+  if (sleepers_ == 0) {
+    lists_ = false;
+    return;
+  }
+  std::sort(woken_.begin(), woken_.end());
+  const unsigned shards = scheduler_->shards();
+  auto wake = woken_.cbegin();
+  for (unsigned s = 0; s < shards; ++s) {
+    ShardState& st = shard_state_[s];
+    const auto [first, last] = Scheduler::shard_range(num_nodes(), s, shards);
+    const auto wake_end = std::lower_bound(wake, woken_.cend(), last);
+    st.active.clear();
+    if (lists_) {
+      std::merge(st.awake.cbegin(), st.awake.cend(), wake, wake_end,
+                 std::back_inserter(st.active));
+    } else {
+      st.active.reserve(last - first);
+      st.awake.reserve(last - first);
+      for (NodeId v = first; v < last; ++v) {
+        if ((flags_[v] & kAsleep) == 0) st.active.push_back(v);
+      }
+    }
+    wake = wake_end;
+  }
+  lists_ = true;
 }
 
 /// The per-round rank seam, between the commit and the slot resolution:
@@ -420,7 +516,7 @@ void RuntimeCore::exchange_round() {
   for (shard_comm::PeerBatch& b : seam.out) b.clear();
   std::int64_t local = 0;
   for (unsigned s = 0; s < shards; ++s) {
-    local += outstanding_[s].count;
+    local += shard_state_[s].outstanding;
     ShardBuffer& sb = shard(s);
     for (shard_comm::PeerBatch& b : seam.out) b.next_pool();
     const Packet* pool = sb.pool.data();

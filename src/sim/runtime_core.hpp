@@ -35,6 +35,21 @@
 // cross-window effects with the other ranks through a Transport
 // (sim/shard_comm.hpp) once per round.  On a single rank the window is
 // [0, n) and no exchange code runs.
+//
+// The active set: a synchronous round steps only the nodes that have work.
+// A process may ask to sleep (NodeContext::sleep) until a message arrives
+// for it or a channel slot resolves idle — SteppedProcess does, in barrier
+// steps, whose quiet rounds are no-ops by contract (core/stepped.hpp).  The
+// core keeps one ascending active list per scheduler shard and builds the
+// next round's lists at commit time from three sources: the nodes that did
+// not ask to sleep, every destination in the round's flip (own shards and
+// rank ingress alike), and, when the resolved slot is idle, every sleeper.
+// Shards still step in ascending order and commit in ascending shard order,
+// and a skipped round would have drawn no RNG and staged nothing, so every
+// digest, Metrics and FaultStats is what stepping every node gives.  A
+// round in which nobody sleeps steps the dense ranges and builds no list;
+// the asynchronous policy never uses the lists.  The one virtual call is
+// per stepped node, not per node.
 #pragma once
 
 #include <algorithm>
@@ -199,15 +214,21 @@ struct alignas(64) ShardBuffer {
   }
 };
 
-/// One shard's count of not-yet-finished nodes within its static node range
-/// (Scheduler::shard_range).  RuntimeCore::note_finished batches the
-/// per-node finished() probe into these counters: a probe only touches the
-/// counter on a finished-transition, each counter is written exclusively by
-/// its shard's worker (cache-line aligned — adjacent shards run on
-/// different threads), and the core sums the handful of counters after the
-/// barrier.
-struct alignas(64) ShardOutstanding {
-  std::int64_t count = 0;
+/// One scheduler shard's node bookkeeping, written during a round only by
+/// the shard's own worker (cache-line aligned — adjacent shards run on
+/// different threads) and read by the core after the barrier.
+///
+/// `outstanding` counts the not-yet-finished nodes of the shard's static
+/// range (Scheduler::shard_range): RuntimeCore::note_finished touches it only
+/// on a finished-transition, so the per-node finished() probe is batched
+/// into a handful of counters the core sums.  The rest is the shard's slice
+/// of the active set (RuntimeCore::note_sleep): the ascending list the shard
+/// steps on a list round, and this round's sleep requests.
+struct alignas(64) ShardState {
+  std::int64_t outstanding = 0;
+  std::uint64_t slept = 0;       ///< nodes that asked to sleep this round
+  std::vector<NodeId> active;    ///< ascending; stepped on a list round
+  std::vector<NodeId> awake;     ///< list round: stepped, did not ask to sleep
 };
 
 /// The staging half both per-node contexts share (NodeContext here,
@@ -418,8 +439,22 @@ class NodeContext final : public StagingContext<NodeContext> {
   /// True if this node sent at least one point-to-point message this round.
   bool sent_message() const { return sent_message_; }
 
+  /// Asks the engine not to step this node again until a message arrives
+  /// for it or a channel slot resolves idle.  Only a node whose rounds until
+  /// then are no-ops may ask: such a round draws no RNG, sends nothing,
+  /// writes no channel slot and changes no state anyone reads.  A request
+  /// can only save work — the synchronizer's sink path ignores it, and
+  /// stepping a sleeping node anyway is always correct.
+  void sleep() { sleep_ = true; }
+
+  /// True if the process asked to sleep during this round.
+  bool sleep_requested() const { return sleep_; }
+
  private:
   friend class StagingContext<NodeContext>;
+  /// Test-only (tests/test_active_set.cpp): withdraws a sleep request so
+  /// sleeping nodes are stepped anyway and audited.
+  friend struct SleepAudit;
 
   /// The synchronous header: delivered next round, no delay to draw.
   void emit(const Neighbor& nb, PacketRef ref) {
@@ -432,9 +467,11 @@ class NodeContext final : public StagingContext<NodeContext> {
   std::uint64_t round_;
   bool wrote_channel_ = false;
   bool sent_message_ = false;
+  bool sleep_ = false;
 };
 
-/// A node program.  round() is invoked exactly once per simulated round.
+/// A node program.  round() is invoked once per simulated round, except in
+/// rounds it slept through (NodeContext::sleep).
 class Process {
  public:
   virtual ~Process() = default;
@@ -666,8 +703,10 @@ class SlotBuckets {
 /// The substrate both engines execute on.  Besides the model state it owns
 /// every piece of bookkeeping the two stepping policies share: the process
 /// table's finished flags and per-shard outstanding counters, the fault
-/// runtime and the crash gate in front of every handler call, and the
-/// round/slot counter.  An engine adds only its stepping order.
+/// runtime and the crash gate in front of every handler call, the
+/// round/slot counter, and the one per-node loop every round runs (the
+/// synchronous policy's over the active set).  An engine adds only its
+/// stepping order.
 ///
 /// Per-node state is indexed by the local index v - window_lo() (equal to
 /// v on a single rank).  On rank r of K the arena flips K - 1 + shards()
@@ -717,22 +756,19 @@ class RuntimeCore {
   auto build_processes(const Factory& factory) {
     std::vector<decltype(factory(views_[0]))> processes;
     processes.reserve(num_nodes());
-    finished_.assign(num_nodes(), 0);
+    flags_.assign(num_nodes(), 0);
     for (NodeId v = 0; v < num_nodes(); ++v) {
       processes.push_back(factory(views_[v]));
       MMN_REQUIRE(processes.back() != nullptr, "factory returned null process");
-      finished_[v] = processes.back()->finished() ? 1 : 0;
+      flags_[v] = processes.back()->finished() ? kFinished : 0;
     }
     init_outstanding();
     return processes;
   }
 
-  /// Runs `fn` over every owned node (local index) under the scheduler —
-  /// the one entry through which any node handler runs.
-  void step_nodes(Scheduler::NodeFn fn) {
-    started_ = true;
-    scheduler_->for_each_node(num_nodes(), fn);
-  }
+  /// Runs `fn` over every owned node (local index) under the scheduler.
+  /// The asynchronous policy's entry; it never uses the active set.
+  void step_nodes(Scheduler::NodeFn fn) { step_shards(fn, false); }
 
   /// True once any node handler has run (step_nodes was entered).
   bool started() const { return started_; }
@@ -753,17 +789,32 @@ class RuntimeCore {
   /// node's handlers ran, so the batched count stays exact without an O(n)
   /// scan per round.
   void note_finished(unsigned s, NodeId v, bool finished) {
-    const char done = finished ? 1 : 0;
-    if (done != finished_[v]) {
-      finished_[v] = done;
-      outstanding_[s].count += done ? -1 : 1;
+    const char done = finished ? kFinished : 0;
+    if (done != (flags_[v] & kFinished)) {
+      flags_[v] ^= kFinished;
+      shard_state_[s].outstanding += done ? -1 : 1;
+    }
+  }
+
+  /// Records node v's (local index) sleep request after its round, from
+  /// shard s's worker: a sleeper's flag is set and counted, and on a list
+  /// round a node that stays awake joins the shard's awake list (the shard
+  /// steps in ascending order, so the list is ascending too).  A crashed
+  /// node passes false — it stays awake, so whatever is delivered to it is
+  /// still counted as dropped.
+  void note_sleep(unsigned s, NodeId v, bool sleep) {
+    if (sleep) {
+      flags_[v] |= kAsleep;
+      ++shard_state_[s].slept;
+    } else if (lists_) {
+      shard_state_[s].awake.push_back(v);
     }
   }
 
   /// True when no node of any rank is outstanding.
   bool all_finished() const {
-    for (const ShardOutstanding& s : outstanding_) {
-      if (s.count != 0) return false;
+    for (const ShardState& s : shard_state_) {
+      if (s.outstanding != 0) return false;
     }
     return remote_outstanding_ == 0;
   }
@@ -800,10 +851,12 @@ class RuntimeCore {
   }
 
   /// One lockstep round: applies the round's fault events, runs `fn` over
-  /// every owned node (local index) under the scheduler, then commits
-  /// deterministically — channel writes and p2p sends merged in ascending
-  /// shard order, on a sharded run swapped with the other ranks
-  /// (exchange_round), slot resolved, arena flipped, round advanced.
+  /// the round's active owned nodes (local index) under the scheduler, then
+  /// commits deterministically — channel writes and p2p sends merged in
+  /// ascending shard order, on a sharded run swapped with the other ranks
+  /// (exchange_round), slot resolved, next round's active set planned,
+  /// arena flipped, round advanced.  `fn` must report every stepped node's
+  /// sleep request through note_sleep.
   void run_round(Scheduler::NodeFn fn);
 
   /// Cross-shard messages this rank sent to peers (headers on the wire);
@@ -846,6 +899,9 @@ class RuntimeCore {
   struct RankSeam;
 
   void init_outstanding();
+  void step_shards(Scheduler::NodeFn fn, bool lists);
+  void shard_loop(unsigned s, Scheduler::NodeFn fn, bool lists);
+  void plan_active_set();
   void exchange_round();
 
   const Graph* graph_;
@@ -866,8 +922,18 @@ class RuntimeCore {
   std::unique_ptr<FaultRuntime> faults_;  ///< null on the fault-free path
   std::uint64_t round_ = 0;  ///< synchronous round = asynchronous slot
   bool started_ = false;     ///< some node handler has run
-  std::vector<char> finished_;  ///< per node; char: shard-safe writes
-  std::vector<ShardOutstanding> outstanding_;  ///< per scheduler shard
+  /// Per-node kFinished | kAsleep bits.  A char per node: each shard's
+  /// worker writes only its own nodes' bytes, so shards never race.
+  std::vector<char> flags_;
+  static constexpr char kFinished = 1;
+  static constexpr char kAsleep = 2;
+  std::vector<ShardState> shard_state_;  ///< per scheduler shard
+  // The active set (run_round): the number of nodes asleep (kAsleep set),
+  // and whether this round steps the shards' lists rather than their full
+  // ranges.
+  std::uint64_t sleepers_ = 0;
+  bool lists_ = false;
+  std::vector<NodeId> woken_;  ///< plan_active_set scratch: message wakes
   std::int64_t remote_outstanding_ = 0;  ///< other ranks' total, last swap
   std::unique_ptr<RankSeam> seam_;  ///< null on a single rank
 };

@@ -4,10 +4,6 @@
 
 namespace mmn::sim {
 
-void SerialScheduler::for_each_node(NodeId n, NodeFn fn) {
-  for (NodeId v = 0; v < n; ++v) fn(0, v);
-}
-
 ParallelScheduler::ParallelScheduler(unsigned num_threads)
     : num_threads_(num_threads), errors_(num_threads) {
   MMN_REQUIRE(num_threads >= 1, "parallel scheduler needs >= 1 thread");
@@ -29,21 +25,16 @@ ParallelScheduler::~ParallelScheduler() {
 void ParallelScheduler::worker(unsigned shard) {
   std::uint64_t seen = 0;
   for (;;) {
-    NodeFn fn{};
-    NodeId n = 0;
+    ShardFn fn{};
     {
       std::unique_lock<std::mutex> lock(mu_);
       start_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
       if (stopping_) return;
       seen = generation_;
       fn = round_fn_;
-      n = round_n_;
     }
-    const auto [first, last] = shard_range(n, shard, num_threads_);
     try {
-      // The hottest dispatch in the simulator: one raw indirect call per
-      // node, no std::function thunk between the scheduler and node code.
-      for (NodeId v = first; v < last; ++v) fn(shard, v);
+      fn(shard);
     } catch (...) {
       errors_[shard] = std::current_exception();
     }
@@ -54,11 +45,10 @@ void ParallelScheduler::worker(unsigned shard) {
   }
 }
 
-void ParallelScheduler::for_each_node(NodeId n, NodeFn fn) {
+void ParallelScheduler::for_each_shard(ShardFn fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     round_fn_ = fn;
-    round_n_ = n;
     remaining_ = num_threads_;
     ++generation_;
   }

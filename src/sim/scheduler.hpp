@@ -1,14 +1,16 @@
 // Round schedulers: how the per-node work of one lockstep round is executed.
 //
 // A Scheduler maps the node set [0, n) onto `shards()` contiguous ascending
-// ranges and invokes a callback once per node, each shard covering its range
-// in ascending node order.  Node code stages all its externally visible
-// effects (sends, channel writes, metric counts) into a per-shard buffer;
-// RuntimeCore merges the buffers in ascending shard order after the barrier.
-// Because shard-major concatenation of ascending per-shard ranges is exactly
-// ascending node order, SerialScheduler and ParallelScheduler produce
-// bit-identical traces — same inbox orders, same channel outcomes, same
-// Metrics — for the same seed.
+// ranges and runs one callback per shard; RuntimeCore's shard loop inside it
+// visits the shard's nodes in ascending order — the whole range, or the
+// shard's ascending active list on rounds where some nodes sleep.  Node code
+// stages all its externally visible effects (sends, channel writes, metric
+// counts) into a per-shard buffer; RuntimeCore merges the buffers in
+// ascending shard order after the barrier.  Because shard-major
+// concatenation of ascending per-shard node sequences is exactly ascending
+// node order, SerialScheduler and ParallelScheduler produce bit-identical
+// traces — same inbox orders, same channel outcomes, same Metrics — for the
+// same seed.
 //
 // SerialScheduler   — one shard, the caller's thread (the seed behavior).
 // ParallelScheduler — a persistent std::thread pool; one shard per thread,
@@ -37,7 +39,7 @@ class Scheduler {
   /// staging buffer the node's effects must go to.  Must be safe to call
   /// concurrently for nodes of *different* shards (nodes of one shard run
   /// sequentially).  A plain pointer pair — not std::function — so the
-  /// per-node call in the scheduler's inner loop is a direct indirect call
+  /// per-node call in RuntimeCore's shard loop is a direct indirect call
   /// with no type-erasure thunk, and building one never allocates.
   struct NodeFn {
     using Fn = void (*)(void* env, unsigned shard, NodeId node);
@@ -49,12 +51,23 @@ class Scheduler {
     }
   };
 
+  /// The per-shard body of one round, in the same raw-pointer form: invoked
+  /// once per shard, concurrently for different shards.
+  struct ShardFn {
+    using Fn = void (*)(void* env, unsigned shard);
+    Fn fn = nullptr;
+    void* env = nullptr;
+
+    void operator()(unsigned shard) const { fn(env, shard); }
+  };
+
   virtual ~Scheduler() = default;
 
   virtual unsigned shards() const = 0;
 
-  /// Runs fn for every node in [0, n); returns once all nodes ran (barrier).
-  virtual void for_each_node(NodeId n, NodeFn fn) = 0;
+  /// Runs fn once for every shard in [0, shards()); returns once all shards
+  /// ran (barrier).
+  virtual void for_each_shard(ShardFn fn) = 0;
 
   /// Contiguous node range [first, last) owned by `shard` of `shards`.
   static std::pair<NodeId, NodeId> shard_range(NodeId n, unsigned shard,
@@ -68,7 +81,7 @@ class Scheduler {
 class SerialScheduler final : public Scheduler {
  public:
   unsigned shards() const override { return 1; }
-  void for_each_node(NodeId n, NodeFn fn) override;
+  void for_each_shard(ShardFn fn) override { fn(0); }
 };
 
 class ParallelScheduler final : public Scheduler {
@@ -81,7 +94,7 @@ class ParallelScheduler final : public Scheduler {
   ParallelScheduler& operator=(const ParallelScheduler&) = delete;
 
   unsigned shards() const override { return num_threads_; }
-  void for_each_node(NodeId n, NodeFn fn) override;
+  void for_each_shard(ShardFn fn) override;
 
  private:
   void worker(unsigned shard);
@@ -93,8 +106,7 @@ class ParallelScheduler final : public Scheduler {
   std::condition_variable done_cv_;
   std::uint64_t generation_ = 0;
   unsigned remaining_ = 0;
-  NodeId round_n_ = 0;
-  NodeFn round_fn_{};  // two raw pointers; copied, never allocates
+  ShardFn round_fn_{};  // two raw pointers; copied, never allocates
   bool stopping_ = false;
   std::vector<std::exception_ptr> errors_;
 };

@@ -38,6 +38,9 @@ class Rng {
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool next_bernoulli(double p);
 
+  /// Same stream at the same position.
+  bool operator==(const Rng&) const = default;
+
  private:
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t origin_;  // seed this generator was constructed from

@@ -12,7 +12,8 @@
 // post-warm-up window on both engines, serial and 4-thread, and on the two
 // ranks of a sharded Engine run — each rank process counts its own
 // allocations, so the window covers the per-round partition, frame
-// encode/decode and socket swap too.
+// encode/decode and socket swap too.  Rounds in which some nodes sleep
+// (the synchronous engine's active set) are held to the same bound.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -131,6 +132,53 @@ class ChatterProcess final : public Process {
   Word sum_ = 0;
 };
 
+/// Steady synchronous traffic through the active set: even nodes chatter
+/// like ChatterProcess on two rounds of three; odd nodes only read their
+/// inbox and ask to sleep.  Most rounds therefore step the shards' active
+/// lists, a different set of sleepers wakes by message every round, and
+/// every eighth round nobody writes the channel, so the idle slot wakes
+/// everyone (a dense round, then lists planned from the sleep flags).
+/// Counts its own handler calls, so the test can see that nodes slept.
+class DozingProcess final : public Process {
+ public:
+  explicit DozingProcess(const LocalView& view) : view_(view) {}
+
+  void round(NodeContext& ctx) override {
+    ++calls_;
+    for (const Received& r : ctx.inbox()) sum_ += r.packet()[0];
+    if (view_.self % 2 == 1) {
+      ctx.sleep();
+      return;
+    }
+    const Packet p(1, {static_cast<Word>(ctx.round() & 0xFF)});
+    if ((ctx.round() + view_.self) % 3 == 0) {
+      ctx.broadcast(p);
+    } else if ((ctx.round() + view_.self) % 3 == 1) {
+      for (const Neighbor& nb : view_.links()) ctx.send(nb.edge, p);
+    }
+    if (ctx.round() % 8 != 7 && view_.self % 3 == 0) {
+      ctx.channel_write(Packet(2, {static_cast<Word>(view_.self)}));
+    }
+  }
+
+  bool finished() const override { return false; }
+
+  std::uint64_t calls_ = 0;
+
+ private:
+  const LocalView& view_;
+  Word sum_ = 0;
+};
+
+/// Handler calls of an engine's dozing processes (global ids [lo, hi)).
+std::uint64_t dozing_calls(const Engine& engine, NodeId lo, NodeId hi) {
+  std::uint64_t calls = 0;
+  for (NodeId v = lo; v < hi; ++v) {
+    calls += static_cast<const DozingProcess&>(engine.process(v)).calls_;
+  }
+  return calls;
+}
+
 /// Steady asynchronous traffic: every slot boundary re-sends to all
 /// neighbors — alternating broadcast() and per-link sends by slot parity,
 /// so the window covers both the interned (push + push_shared refcounted
@@ -218,6 +266,56 @@ TEST(SteadyStateAllocation, TwoRankRoundsAllocateNothing) {
                         std::to_string(allocs) + " heap allocations in " +
                         std::to_string(kMeasuredRounds) + " rounds with " +
                         std::to_string(threads) + " thread(s)");
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }
+}
+
+TEST(SteadyStateAllocation, ActiveSetRoundsAllocateNothing) {
+  constexpr std::uint64_t kRounds = kWarmupRounds + kMeasuredRounds;
+  for (unsigned threads : {1u, 4u}) {
+    const Graph g = random_connected(96, 192, 11);
+    Engine engine(g, [](const LocalView& v) {
+      return std::make_unique<DozingProcess>(v);
+    }, 11, threads <= 1 ? nullptr : make_scheduler(threads));
+    const std::uint64_t allocs =
+        measure([&engine](std::uint64_t rounds) { engine.step(rounds); });
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " heap allocations in " << kMeasuredRounds
+        << " active-set rounds with " << threads << " thread(s)";
+    EXPECT_LT(dozing_calls(engine, 0, 96), 96 * kRounds) << "nobody slept";
+  }
+}
+
+TEST(SteadyStateAllocation, TwoRankActiveSetRoundsAllocateNothing) {
+  // Sleepers on one rank are woken by headers from the other, so the
+  // window covers planning from ingress buffers too.
+  constexpr std::uint64_t kRounds = kWarmupRounds + kMeasuredRounds;
+  const TopologySpec spec{TopoKind::kRandom, 96, 11};
+  for (unsigned threads : {1u, 2u}) {
+    try {
+      shard_comm::run_ranks(2, [&](shard_comm::Transport& t) {
+        const auto [lo, hi] = Scheduler::shard_range(96, t.rank(), 2);
+        const Graph g = build_topology_window(spec, GraphWindow{lo, hi});
+        Engine engine(g, RankSpec{t.rank(), 2, lo, hi},
+                      [](const LocalView& v) {
+                        return std::make_unique<DozingProcess>(v);
+                      },
+                      11, t, nullptr,
+                      threads <= 1 ? nullptr : make_scheduler(threads));
+        const std::uint64_t allocs =
+            measure([&engine](std::uint64_t rounds) { engine.step(rounds); });
+        MMN_REQUIRE(engine.xshard_msgs() > 0, "no traffic crossed the cut");
+        MMN_REQUIRE(dozing_calls(engine, lo, hi) < (hi - lo) * kRounds,
+                    "nobody slept");
+        MMN_REQUIRE(allocs == 0,
+                    "rank " + std::to_string(t.rank()) + ": " +
+                        std::to_string(allocs) + " heap allocations in " +
+                        std::to_string(kMeasuredRounds) +
+                        " active-set rounds with " + std::to_string(threads) +
+                        " thread(s)");
       });
     } catch (const std::exception& e) {
       ADD_FAILURE() << e.what();

@@ -13,12 +13,15 @@
 //     follows the no-jitter formula exactly;
 //   * crash withdrawal — stifle(v) removes exactly v's deferred write from
 //     every deferring discipline, and v never transmits afterwards.
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/broadcast_global.hpp"
+#include "channel/pseudo_bayesian.hpp"
 #include "graph/generators.hpp"
 #include "sim/channel_discipline.hpp"
 #include "sim/engine.hpp"
@@ -322,6 +325,91 @@ TEST(ChannelDiscipline, StifleWithdrawsOnlyTheCrashedStation) {
     }
     EXPECT_EQ(d->backlog(), 0u) << d->name();
     EXPECT_TRUE(other_sent) << d->name();
+  }
+}
+
+/// The pseudo-Bayesian lottery as first written: every slot scans all n
+/// pending slots in ascending order, one draw per pending station.  The
+/// discipline's pending-id list must reproduce it draw for draw.
+class FullScanPseudoBayes {
+ public:
+  FullScanPseudoBayes(std::uint64_t seed, NodeId n) : rng_(seed), pending_(n) {}
+
+  void file(const sim::ChannelWrite& w) {
+    if (!pending_[w.node]) ++backlog_;
+    pending_[w.node] = w.packet;
+  }
+
+  void stifle(NodeId v) {
+    if (pending_[v]) {
+      pending_[v].reset();
+      --backlog_;
+    }
+  }
+
+  sim::SlotObservation contend(sim::Channel& channel, Metrics& metrics) {
+    const double p = nu_ <= 1.0 ? 1.0 : 1.0 / nu_;
+    for (NodeId v = 0; v < pending_.size(); ++v) {
+      if (pending_[v] && rng_.next_bernoulli(p)) {
+        channel.write(v, *pending_[v]);
+      }
+    }
+    const sim::SlotObservation obs = channel.resolve(metrics);
+    nu_ = rivest_update(nu_, obs.collision());
+    if (obs.success()) {
+      pending_[obs.writer].reset();
+      --backlog_;
+    }
+    return obs;
+  }
+
+  std::size_t backlog() const { return backlog_; }
+
+ private:
+  Rng rng_;
+  double nu_ = 1.0;
+  std::size_t backlog_ = 0;
+  std::vector<std::optional<sim::Packet>> pending_;
+};
+
+TEST(ChannelDiscipline, PseudoBayesPendingListMatchesFullScan) {
+  constexpr NodeId kN = 48;
+  for (const std::uint64_t seed : {1u, 7u, 99u}) {
+    sim::PseudoBayesianDiscipline d(seed);
+    d.reset(kN);
+    FullScanPseudoBayes ref(seed, kN);
+    sim::Channel channel, ref_channel;
+    Metrics metrics, ref_metrics;
+    Rng ops(seed * 31 + 5);
+    std::uint64_t successes = 0;
+    for (int i = 0; i < 6000; ++i) {
+      const std::uint64_t op = ops.next_below(10);
+      const auto v = static_cast<NodeId>(ops.next_below(kN));
+      if (op < 5) {  // file: a new station, or a re-key of a pending one
+        const sim::ChannelWrite w{
+            v, sim::Packet(1, {sim::Word{v},
+                               static_cast<sim::Word>(ops.next_u64())})};
+        d.file(w);
+        ref.file(w);
+      } else if (op < 6) {
+        d.stifle(v);
+        ref.stifle(v);
+      } else {
+        const sim::SlotObservation got = d.contend(channel, metrics);
+        const sim::SlotObservation want =
+            ref.contend(ref_channel, ref_metrics);
+        ASSERT_EQ(got.state, want.state) << "seed " << seed << " op " << i;
+        if (want.success()) {
+          ++successes;
+          ASSERT_EQ(got.writer, want.writer) << "seed " << seed << " op " << i;
+          ASSERT_TRUE(got.payload == want.payload)
+              << "seed " << seed << " op " << i;
+        }
+      }
+      ASSERT_EQ(d.backlog(), ref.backlog()) << "seed " << seed << " op " << i;
+    }
+    EXPECT_TRUE(metrics == ref_metrics) << "seed " << seed;
+    EXPECT_GT(successes, 100u) << "seed " << seed;
   }
 }
 
