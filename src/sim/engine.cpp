@@ -57,15 +57,12 @@ const Process& Engine::process(NodeId v) const {
 /// stays awake.
 void Engine::node_round(unsigned shard, NodeId v) {
   const std::span<const Received> inbox = core_.inbox(v);
-  if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] {
-    core_.note_sleep(shard, v, false);
-    return;
-  }
+  if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] return;
   NodeContext ctx(core_.view(v), core_.rng(v), inbox, core_.slot(),
                   core_.round(), core_.shard(shard), core_.fault_overlay());
   processes_[v]->round(ctx);
   core_.note_finished(shard, v, processes_[v]->finished());
-  core_.note_sleep(shard, v, ctx.sleep_requested());
+  if (ctx.sleep_requested()) core_.note_sleep(shard, v);
 }
 
 bool Engine::step(std::uint64_t rounds) {

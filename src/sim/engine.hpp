@@ -15,7 +15,7 @@
 // outstanding counters, the fault runtime and crash gate, the round
 // counter, and the fault-gated staging behind NodeContext; see
 // sim/runtime_core.hpp.  What is left here is the lockstep order: one
-// Process::round per active node per round.  A node is active unless it
+// Process::round per awake node per round.  A node is awake unless it
 // asked to sleep (NodeContext::sleep) and neither a message nor an idle
 // slot has woken it since — the core's active set, which steps a sleeping
 // barrier-step node (core/stepped.hpp) only when it has work, with results
@@ -34,9 +34,10 @@
 // reaches node_round through a raw function pointer, and NodeContext is a
 // concrete final class (sim/runtime_core.hpp) staging effects straight into
 // the shard buffer — the only virtual call per stepped node (not per node:
-// sleeping nodes cost nothing) is Process::round itself.  The same Process still runs on the asynchronous engine
-// underneath the busy-tone synchronizer of Section 7.1, which feeds
-// NodeContext through its sink hooks (see core/synchronizer.hpp).
+// a sleeping node costs one flag test) is Process::round itself.  The same
+// Process still runs on the asynchronous engine underneath the busy-tone
+// synchronizer of Section 7.1, which feeds NodeContext through its sink
+// hooks (see core/synchronizer.hpp).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <iterator>
 
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -377,44 +376,44 @@ SlotObservation RuntimeCore::resolve_slot() {
   return obs;
 }
 
-void RuntimeCore::step_shards(Scheduler::NodeFn fn, bool lists) {
+void RuntimeCore::step_nodes(Scheduler::NodeFn fn) {
   started_ = true;
   struct Pass {
     RuntimeCore* core;
     Scheduler::NodeFn fn;
-    bool lists;
-  } pass{this, fn, lists};
+  } pass{this, fn};
   scheduler_->for_each_shard(Scheduler::ShardFn{
       [](void* env, unsigned s) {
         const Pass& p = *static_cast<const Pass*>(env);
-        p.core->shard_loop(s, p.fn, p.lists);
+        p.core->shard_loop(s, p.fn);
       },
       &pass});
 }
 
 /// The one per-node loop of every round and slot phase, run by shard s's
-/// worker: the shard's whole range, or on a list round its ascending active
-/// list.  Either way nodes run in ascending order, so the shard-major commit
-/// that follows sees the serial order.  The hottest dispatch in the
-/// simulator: one raw indirect call per stepped node, no std::function
-/// thunk between the scheduler and node code.
-void RuntimeCore::shard_loop(unsigned s, Scheduler::NodeFn fn, bool lists) {
-  if (lists) {
-    ShardState& st = shard_state_[s];
-    st.awake.clear();
-    for (const NodeId v : st.active) fn(s, v);
-    return;
-  }
+/// worker over the shard's range in ascending order, so the shard-major
+/// commit that follows sees the serial order.  While some node sleeps it
+/// skips the nodes whose kAsleep bit is set — a byte test per node, against
+/// a virtual call.  The hottest dispatch in the simulator: one raw indirect
+/// call per stepped node, no std::function thunk between the scheduler and
+/// node code.
+void RuntimeCore::shard_loop(unsigned s, Scheduler::NodeFn fn) {
   const auto [first, last] =
       Scheduler::shard_range(num_nodes(), s, scheduler_->shards());
-  for (NodeId v = first; v < last; ++v) fn(s, v);
+  if (sleepers_ == 0) {
+    for (NodeId v = first; v < last; ++v) fn(s, v);
+    return;
+  }
+  for (NodeId v = first; v < last; ++v) {
+    if ((flags_[v] & kAsleep) == 0) fn(s, v);
+  }
 }
 
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   // Fault events scheduled for this round apply before any shard steps, on
   // one thread — every node of the round sees the same topology.
   apply_faults();
-  step_shards(fn, lists_);
+  step_nodes(fn);
   const unsigned shards = scheduler_->shards();
   for (unsigned s = 0; s < shards; ++s) {
     sleepers_ += shard_state_[s].slept;
@@ -433,68 +432,31 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   }
   if (seam_ != nullptr) [[unlikely]] exchange_round();
   slot_ = resolve_slot();
-  // Nobody asleep (every round of a run where nobody asks): the next round
-  // is dense and no list is built.  A list round leaves sleepers behind, so
-  // lists_ is already false here.
-  if (sleepers_ != 0) plan_active_set();
+  if (sleepers_ != 0) wake_sleepers();
   arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
   advance_round();
 }
 
-/// Builds the next round's active set from this round's sleep requests, the
-/// slot just resolved, and the headers about to be flipped.  The slot is
-/// replicated on every rank and the headers include the ingress from other
-/// ranks (already rebased to local ids), so a rank plans its window alone.
-///  * An idle slot wakes every sleeper: the next round is dense.
-///  * Otherwise every destination of a header wakes, and a shard's next list
-///    is its awake list merged with its woken nodes — both ascending, and
-///    disjoint, since an awake node has no sleep flag to clear.  After a
-///    dense round there is no awake list; the list is read off the flags.
-/// Lists and scratch are reserved at their bound on first use, so a
-/// warmed-up run plans without allocating.
-void RuntimeCore::plan_active_set() {
+/// Clears the sleep bits of the nodes that have work next round, on one
+/// thread between the slot resolution and the flip: on an idle slot every
+/// sleeper; otherwise every destination of a header about to be flipped.
+/// The headers include the ingress from other ranks (already rebased to
+/// local ids) and the slot is replicated on every rank, so a rank wakes its
+/// window alone.
+void RuntimeCore::wake_sleepers() {
   if (slot_.idle()) {
     for (char& f : flags_) f &= ~kAsleep;
     sleepers_ = 0;
-    lists_ = false;
     return;
   }
-  woken_.reserve(num_nodes());
-  woken_.clear();
   for (const ShardBuffer& sb : shards_) {
     for (const MsgHeader& h : sb.outbox) {
       if ((flags_[h.to] & kAsleep) != 0) {
         flags_[h.to] &= ~kAsleep;
-        woken_.push_back(h.to);
+        --sleepers_;
       }
     }
   }
-  sleepers_ -= woken_.size();
-  if (sleepers_ == 0) {
-    lists_ = false;
-    return;
-  }
-  std::sort(woken_.begin(), woken_.end());
-  const unsigned shards = scheduler_->shards();
-  auto wake = woken_.cbegin();
-  for (unsigned s = 0; s < shards; ++s) {
-    ShardState& st = shard_state_[s];
-    const auto [first, last] = Scheduler::shard_range(num_nodes(), s, shards);
-    const auto wake_end = std::lower_bound(wake, woken_.cend(), last);
-    st.active.clear();
-    if (lists_) {
-      std::merge(st.awake.cbegin(), st.awake.cend(), wake, wake_end,
-                 std::back_inserter(st.active));
-    } else {
-      st.active.reserve(last - first);
-      st.awake.reserve(last - first);
-      for (NodeId v = first; v < last; ++v) {
-        if ((flags_[v] & kAsleep) == 0) st.active.push_back(v);
-      }
-    }
-    wake = wake_end;
-  }
-  lists_ = true;
 }
 
 /// The per-round rank seam, between the commit and the slot resolution:

@@ -40,16 +40,16 @@
 // A process may ask to sleep (NodeContext::sleep) until a message arrives
 // for it or a channel slot resolves idle — SteppedProcess does, in barrier
 // steps, whose quiet rounds are no-ops by contract (core/stepped.hpp).  The
-// core keeps one ascending active list per scheduler shard and builds the
-// next round's lists at commit time from three sources: the nodes that did
-// not ask to sleep, every destination in the round's flip (own shards and
-// rank ingress alike), and, when the resolved slot is idle, every sleeper.
-// Shards still step in ascending order and commit in ascending shard order,
-// and a skipped round would have drawn no RNG and staged nothing, so every
-// digest, Metrics and FaultStats is what stepping every node gives.  A
-// round in which nobody sleeps steps the dense ranges and builds no list;
-// the asynchronous policy never uses the lists.  The one virtual call is
-// per stepped node, not per node.
+// core keeps a sleep bit per node beside its finished bit: a sleep request
+// sets it, and at commit time every destination in the round's flip (own
+// shards and rank ingress alike) clears it, as does, for every node, an
+// idle resolved slot.  Each shard's loop still visits its range in
+// ascending order, skipping the nodes whose bit is set, and shards commit
+// in ascending order; a skipped round would have drawn no RNG and staged
+// nothing, so every digest, Metrics and FaultStats is what stepping every
+// node gives.  While nobody sleeps the loop tests no bit, and the
+// asynchronous policy never sets one.  The one virtual call is per stepped
+// node, not per node.
 #pragma once
 
 #include <algorithm>
@@ -221,14 +221,11 @@ struct alignas(64) ShardBuffer {
 /// `outstanding` counts the not-yet-finished nodes of the shard's static
 /// range (Scheduler::shard_range): RuntimeCore::note_finished touches it only
 /// on a finished-transition, so the per-node finished() probe is batched
-/// into a handful of counters the core sums.  The rest is the shard's slice
-/// of the active set (RuntimeCore::note_sleep): the ascending list the shard
-/// steps on a list round, and this round's sleep requests.
+/// into a handful of counters the core sums.  `slept` counts the shard's
+/// sleep requests of the round (RuntimeCore::note_sleep) the same way.
 struct alignas(64) ShardState {
   std::int64_t outstanding = 0;
-  std::uint64_t slept = 0;       ///< nodes that asked to sleep this round
-  std::vector<NodeId> active;    ///< ascending; stepped on a list round
-  std::vector<NodeId> awake;     ///< list round: stepped, did not ask to sleep
+  std::uint64_t slept = 0;  ///< nodes that asked to sleep this round
 };
 
 /// The staging half both per-node contexts share (NodeContext here,
@@ -766,9 +763,9 @@ class RuntimeCore {
     return processes;
   }
 
-  /// Runs `fn` over every owned node (local index) under the scheduler.
-  /// The asynchronous policy's entry; it never uses the active set.
-  void step_nodes(Scheduler::NodeFn fn) { step_shards(fn, false); }
+  /// Runs `fn` over every awake owned node (local index) under the
+  /// scheduler — the one entry through which any node handler runs.
+  void step_nodes(Scheduler::NodeFn fn);
 
   /// True once any node handler has run (step_nodes was entered).
   bool started() const { return started_; }
@@ -796,19 +793,13 @@ class RuntimeCore {
     }
   }
 
-  /// Records node v's (local index) sleep request after its round, from
-  /// shard s's worker: a sleeper's flag is set and counted, and on a list
-  /// round a node that stays awake joins the shard's awake list (the shard
-  /// steps in ascending order, so the list is ascending too).  A crashed
-  /// node passes false — it stays awake, so whatever is delivered to it is
-  /// still counted as dropped.
-  void note_sleep(unsigned s, NodeId v, bool sleep) {
-    if (sleep) {
-      flags_[v] |= kAsleep;
-      ++shard_state_[s].slept;
-    } else if (lists_) {
-      shard_state_[s].awake.push_back(v);
-    }
+  /// Puts node v (local index) to sleep after its round, from shard s's
+  /// worker: its bit is set and counted.  Only a node that ran its round
+  /// may sleep — a crashed node stays awake, so whatever is delivered to it
+  /// is still counted as dropped.
+  void note_sleep(unsigned s, NodeId v) {
+    flags_[v] |= kAsleep;
+    ++shard_state_[s].slept;
   }
 
   /// True when no node of any rank is outstanding.
@@ -851,12 +842,12 @@ class RuntimeCore {
   }
 
   /// One lockstep round: applies the round's fault events, runs `fn` over
-  /// the round's active owned nodes (local index) under the scheduler, then
+  /// the round's awake owned nodes (local index) under the scheduler, then
   /// commits deterministically — channel writes and p2p sends merged in
   /// ascending shard order, on a sharded run swapped with the other ranks
-  /// (exchange_round), slot resolved, next round's active set planned,
-  /// arena flipped, round advanced.  `fn` must report every stepped node's
-  /// sleep request through note_sleep.
+  /// (exchange_round), slot resolved, sleepers with work woken, arena
+  /// flipped, round advanced.  `fn` reports a stepped node's sleep request
+  /// through note_sleep.
   void run_round(Scheduler::NodeFn fn);
 
   /// Cross-shard messages this rank sent to peers (headers on the wire);
@@ -899,9 +890,8 @@ class RuntimeCore {
   struct RankSeam;
 
   void init_outstanding();
-  void step_shards(Scheduler::NodeFn fn, bool lists);
-  void shard_loop(unsigned s, Scheduler::NodeFn fn, bool lists);
-  void plan_active_set();
+  void shard_loop(unsigned s, Scheduler::NodeFn fn);
+  void wake_sleepers();
   void exchange_round();
 
   const Graph* graph_;
@@ -928,12 +918,7 @@ class RuntimeCore {
   static constexpr char kFinished = 1;
   static constexpr char kAsleep = 2;
   std::vector<ShardState> shard_state_;  ///< per scheduler shard
-  // The active set (run_round): the number of nodes asleep (kAsleep set),
-  // and whether this round steps the shards' lists rather than their full
-  // ranges.
-  std::uint64_t sleepers_ = 0;
-  bool lists_ = false;
-  std::vector<NodeId> woken_;  ///< plan_active_set scratch: message wakes
+  std::uint64_t sleepers_ = 0;  ///< nodes with kAsleep set
   std::int64_t remote_outstanding_ = 0;  ///< other ranks' total, last swap
   std::unique_ptr<RankSeam> seam_;  ///< null on a single rank
 };

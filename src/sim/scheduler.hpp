@@ -2,8 +2,8 @@
 //
 // A Scheduler maps the node set [0, n) onto `shards()` contiguous ascending
 // ranges and runs one callback per shard; RuntimeCore's shard loop inside it
-// visits the shard's nodes in ascending order — the whole range, or the
-// shard's ascending active list on rounds where some nodes sleep.  Node code
+// visits the shard's range in ascending order, skipping the nodes that
+// sleep (the active set, sim/runtime_core.hpp).  Node code
 // stages all its externally visible effects (sends, channel writes, metric
 // counts) into a per-shard buffer; RuntimeCore merges the buffers in
 // ascending shard order after the barrier.  Because shard-major

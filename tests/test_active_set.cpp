@@ -199,8 +199,8 @@ TEST(ActiveSet, RingHandlerCallsArePinnedAndCut) {
   constexpr NodeId kN = 4096;
   constexpr std::uint64_t kSeed = 7;
   const scenario::RunResult plain = scenario::run(*s, kN, kSeed);
-  // Stepping every node would make n x rounds calls; the lists are the same
-  // under any scheduler, so the count is too.
+  // Stepping every node would make n x rounds calls; the set of sleepers is
+  // the same under any scheduler, so the count is too.
   for (unsigned threads : {1u, 4u}) {
     std::atomic<std::uint64_t> calls{0};
     const scenario::RunResult r =

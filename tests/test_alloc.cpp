@@ -134,10 +134,9 @@ class ChatterProcess final : public Process {
 
 /// Steady synchronous traffic through the active set: even nodes chatter
 /// like ChatterProcess on two rounds of three; odd nodes only read their
-/// inbox and ask to sleep.  Most rounds therefore step the shards' active
-/// lists, a different set of sleepers wakes by message every round, and
-/// every eighth round nobody writes the channel, so the idle slot wakes
-/// everyone (a dense round, then lists planned from the sleep flags).
+/// inbox and ask to sleep.  Most rounds therefore skip sleeping nodes, a
+/// different set of sleepers wakes by message every round, and every
+/// eighth round nobody writes the channel, so the idle slot wakes everyone.
 /// Counts its own handler calls, so the test can see that nodes slept.
 class DozingProcess final : public Process {
  public:
