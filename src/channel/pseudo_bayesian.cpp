@@ -14,12 +14,14 @@ RandomizedScheduler::RandomizedScheduler(double initial_backlog, bool pending,
 
 bool RandomizedScheduler::should_transmit(Rng& rng) {
   MMN_REQUIRE(!done_, "scheduler already finished");
-  if (contention_lane()) {
-    transmitting_ = pending_ && rng.next_bernoulli(std::min(1.0, 1.0 / backlog_));
-  } else {
-    transmitting_ = pending_;  // busy-tone lane: every pending station writes
-  }
-  return transmitting_;
+  return pending_ && station_transmits(rng);
+}
+
+bool RandomizedScheduler::station_transmits(Rng& rng) const {
+  MMN_REQUIRE(!done_, "scheduler already finished");
+  // Busy-tone lane: every pending station writes.
+  if (!contention_lane()) return true;
+  return rng.next_bernoulli(std::min(1.0, 1.0 / backlog_));
 }
 
 void RandomizedScheduler::observe(const sim::SlotObservation& obs,
@@ -35,7 +37,6 @@ void RandomizedScheduler::observe(const sim::SlotObservation& obs,
   } else {
     if (obs.idle()) done_ = true;  // no station pending anywhere
   }
-  transmitting_ = false;
   ++slot_parity_;
 }
 

@@ -52,6 +52,14 @@ class RandomizedScheduler {
   /// per slot before observe().  Draws randomness only in contention lanes.
   bool should_transmit(Rng& rng);
 
+  /// The decision of a pending station in the upcoming slot, made from
+  /// this scheduler's public state (backlog estimate, lane) with the
+  /// station's own `rng`: one Bernoulli draw in a contention lane, none in
+  /// a busy-tone lane.  A listener answers for every pending station,
+  /// which then needs no scheduler of its own — the draw is the one
+  /// should_transmit makes for a pending copy in the same slot.
+  bool station_transmits(Rng& rng) const;
+
   /// Feeds the public outcome of the slot; `success_was_mine` as seen by the
   /// caller (obs.writer == own id).
   void observe(const sim::SlotObservation& obs, bool success_was_mine = false);
@@ -77,7 +85,6 @@ class RandomizedScheduler {
   bool pending_;
   bool collect_successes_;
   bool done_ = false;
-  bool transmitting_ = false;  // decision made for the slot in progress
   std::uint64_t slot_parity_ = 0;
   std::uint64_t success_count_ = 0;
   std::vector<sim::Packet> successes_;

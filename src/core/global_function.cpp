@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 
+#include "channel/capetanakis.hpp"
+#include "channel/pseudo_bayesian.hpp"
 #include "core/partition_det.hpp"
 #include "core/partition_rand.hpp"
 #include "support/check.hpp"
@@ -15,6 +18,82 @@ constexpr std::uint16_t kHello = 161;    // child -> parent census
 constexpr std::uint16_t kFold = 162;     // [partial] convergecast
 constexpr std::uint16_t kPartial = 163;  // [partial] channel broadcast
 
+/// The global stage's public state, one per engine (or rank): a listener
+/// copy of the channel resolver — Capetanakis (1979) or Rivest's
+/// pseudo-Bayesian rule, both pure functions of the public slot outcomes —
+/// and the semigroup fold of the partials its successes carry.  The engine
+/// folds it once per slot for every node; its event is the stage's end.
+class GlobalStageFold final : public sim::PublicFold {
+ public:
+  GlobalStageFold(NodeId n, GlobalFunctionConfig config) : config_(config) {
+    // collect_successes = false: the partials are folded as they arrive.
+    if (config.variant == GlobalFunctionConfig::Variant::kDeterministic) {
+      capetanakis_.emplace(n, std::nullopt, /*massey_skip=*/false,
+                           /*collect_successes=*/false);
+    } else {
+      randomized_.emplace(2.0 * static_cast<double>(isqrt_ceil(n)),
+                          /*pending=*/false, /*collect_successes=*/false);
+    }
+  }
+
+  bool fold(const sim::SlotObservation& obs) override {
+    // A slot the resolver counts as a success (its success_count advances;
+    // the randomized scheduler ignores busy-tone lanes) contributes its
+    // partial, in schedule order.
+    const std::uint64_t before = success_count();
+    if (capetanakis_) {
+      capetanakis_->observe(obs);
+    } else {
+      randomized_->observe(obs);
+    }
+    counted_writer_ = kNoNode;
+    if (success_count() != before) {
+      result_ = folded_ ? semigroup_apply(config_.op, result_, obs.payload[0])
+                        : obs.payload[0];
+      folded_ = true;
+      counted_writer_ = obs.writer;
+    }
+    if (!done()) return false;
+    MMN_ASSERT(folded_, "no partial results on the channel");
+    return true;
+  }
+
+  bool matches(const GlobalFunctionConfig& config) const {
+    return config.variant == config_.variant && config.op == config_.op;
+  }
+
+  /// Whether pending station `self` transmits in the upcoming slot; the
+  /// randomized decision draws from the station's own `rng`.
+  bool transmits(NodeId self, Rng& rng) const {
+    if (!capetanakis_) return randomized_->station_transmits(rng);
+    const auto probe = capetanakis_->probe();
+    return probe && self >= probe->first && self < probe->second;
+  }
+
+  /// Writer of the last folded slot if the resolver counted it as a
+  /// success, kNoNode otherwise.
+  NodeId counted_writer() const { return counted_writer_; }
+
+  bool done() const {
+    return capetanakis_ ? capetanakis_->done() : randomized_->done();
+  }
+
+  sim::Word result() const { return result_; }
+
+ private:
+  std::uint64_t success_count() const {
+    return capetanakis_ ? capetanakis_->success_count()
+                        : randomized_->success_count();
+  }
+
+  GlobalFunctionConfig config_;
+  std::optional<CapetanakisResolver> capetanakis_;
+  std::optional<RandomizedScheduler> randomized_;
+  NodeId counted_writer_ = kNoNode;
+  bool folded_ = false;
+  sim::Word result_ = 0;
+};
+
 /// Local fold + global channel stage, running after a partition stage whose
 /// per-node state it reads through the FragmentState interface.
 class ComputeStage final : public SteppedProcess {
@@ -23,7 +102,6 @@ class ComputeStage final : public SteppedProcess {
                sim::Word input, const FragmentState* partition)
       : view_(view), config_(config), acc_(input), partition_(partition) {}
 
-  bool has_result() const { return finished(); }
   sim::Word result() const {
     MMN_REQUIRE(finished(), "global function still running");
     return result_;
@@ -55,24 +133,15 @@ class ComputeStage final : public SteppedProcess {
           sent_fold_ = true;
         }
         break;
-      case 2: {
-        const bool root = is_root();
-        // collect_successes = false: every one of the n nodes hears every
-        // success slot, and recording the payload at each would copy (and
-        // eventually heap-allocate) n packets per successful root.  The
-        // partials are folded incrementally in on_slot instead.
-        if (config_.variant == GlobalFunctionConfig::Variant::kDeterministic) {
-          capetanakis_.emplace(view_.n,
-                               root ? std::optional<std::uint64_t>(view_.self)
-                                    : std::nullopt,
-                               /*massey_skip=*/false,
-                               /*collect_successes=*/false);
-        } else {
-          randomized_.emplace(2.0 * static_cast<double>(isqrt_ceil(view_.n)),
-                              root, /*collect_successes=*/false);
-        }
+      case 2:
+        // Every node begins the stage in the same round, so all share one
+        // fold; only the fragment roots contend.
+        fold_ = &ctx.public_fold<GlobalStageFold>(
+            [&] { return GlobalStageFold(view_.n, config_); });
+        MMN_REQUIRE(fold_->matches(config_),
+                    "global stages beginning together must share a config");
+        pending_ = is_root();
         break;
-      }
       default:
         MMN_ASSERT(false, "unexpected step");
     }
@@ -99,50 +168,28 @@ class ComputeStage final : public SteppedProcess {
   }
 
   void step_round(std::uint64_t step, sim::NodeContext& ctx) override {
-    if (step != 2) return;
     // Decide first, construct the packet only on a transmitting round:
-    // almost every node stays silent almost every slot, and the Packet
-    // constructor's word-array zeroing would otherwise dominate this stage.
-    bool transmit;
-    if (capetanakis_) {
-      transmit = capetanakis_->should_transmit();
-    } else {
-      transmit = !randomized_->done() && randomized_->should_transmit(ctx.rng());
+    // the Packet constructor's word-array zeroing is not free.
+    if (step == 2 && pending_ && fold_->transmits(view_.self, ctx.rng())) {
+      ctx.channel_write(sim::Packet(kPartial, {acc_}));
     }
-    if (transmit) ctx.channel_write(sim::Packet(kPartial, {acc_}));
   }
 
-  void on_slot(std::uint64_t slot_step, const sim::SlotObservation& obs,
+  void on_slot(std::uint64_t slot_step, const sim::SlotObservation&,
                sim::NodeContext&) override {
     if (slot_step != 2) return;
-    const bool mine = obs.success() && obs.writer == view_.self;
-    // Incremental fold: a slot the resolver records as a success (its
-    // success_count advances across observe — the resolvers only count
-    // schedule successes, e.g. the randomized scheduler ignores busy-tone
-    // lanes) contributes its partial immediately.  Same fold order as
-    // replaying successes() at the end, without any node storing them.
-    const std::uint64_t before = capetanakis_ ? capetanakis_->success_count()
-                                              : randomized_->success_count();
-    if (capetanakis_) {
-      if (!capetanakis_->done()) capetanakis_->observe(obs, mine);
-    } else if (!randomized_->done()) {
-      randomized_->observe(obs, mine);
-    }
-    const std::uint64_t after = capetanakis_ ? capetanakis_->success_count()
-                                             : randomized_->success_count();
-    if (after != before) {
-      result_ = folded_ ? semigroup_apply(config_.op, result_, obs.payload[0])
-                        : obs.payload[0];
-      folded_ = true;
-    }
-    if (observed_end(2)) {
-      MMN_ASSERT(folded_, "no partial results on the channel");
-    }
+    // The engine folded the slot before this round; a pending root is
+    // stepped every round, so it sees the slot its partial went through.
+    if (pending_ && fold_->counted_writer() == view_.self) pending_ = false;
+    if (fold_->done()) result_ = fold_->result();
   }
 
-  bool observed_end(std::uint64_t) const override {
-    if (capetanakis_) return capetanakis_->done();
-    return randomized_->done();
+  bool observed_end(std::uint64_t) const override { return fold_->done(); }
+
+  // Only a pending root acts in the global stage; everyone else (and a
+  // root once its partial went through) dozes until the fold's end event.
+  bool step_dormant(std::uint64_t step) const override {
+    return step == 2 && !pending_;
   }
 
  private:
@@ -155,10 +202,9 @@ class ComputeStage final : public SteppedProcess {
   std::uint32_t children_ = 0;
   std::uint32_t received_ = 0;
   bool sent_fold_ = false;
-  bool folded_ = false;
+  bool pending_ = false;  ///< a root whose partial has not gone through
+  const GlobalStageFold* fold_ = nullptr;
   sim::Word result_ = 0;
-  std::optional<CapetanakisResolver> capetanakis_;
-  std::optional<RandomizedScheduler> randomized_;
 };
 
 }  // namespace

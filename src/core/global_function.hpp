@@ -9,7 +9,11 @@
 //   local stage  — partition the network (Section 3 or 4) and fold each
 //                  fragment's inputs into its core by broadcast-and-respond;
 //   global stage — schedule the O(sqrt(n)) cores on the channel and let every
-//                  node fold the overheard partial results.
+//                  node learn the fold of the overheard partial results.
+//                  That fold, and the resolver state that schedules the
+//                  cores, are public: the engine folds one copy per slot
+//                  (sim::PublicFold) and every node but a pending core
+//                  dozes until the stage ends (core/stepped.hpp).
 // The deterministic variant uses the deterministic partition + Capetanakis
 // resolution; the randomized variant uses the randomized partition + the
 // Metcalfe–Boggs/pseudo-Bayesian scheduler.  The `balanced` flag applies
@@ -19,10 +23,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
-#include "channel/capetanakis.hpp"
-#include "channel/pseudo_bayesian.hpp"
 #include "core/partition.hpp"
 #include "core/stepped.hpp"
 

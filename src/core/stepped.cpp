@@ -13,6 +13,8 @@ bool SteppedProcess::step_done(std::uint64_t) const { return true; }
 
 bool SteppedProcess::observed_end(std::uint64_t) const { return false; }
 
+bool SteppedProcess::step_dormant(std::uint64_t) const { return false; }
+
 void SteppedProcess::round(sim::NodeContext& ctx) {
   if (finished_) return;
 
@@ -76,6 +78,10 @@ void SteppedProcess::round(sim::NodeContext& ctx) {
     // Reactive barrier (see stepped.hpp): until a message arrives or the
     // step's idle slot ends it, this node's rounds are no-ops.
     if (done) ctx.sleep();
+  } else if (spec_.kind == StepKind::kObserved && step_dormant(step_)) {
+    // Observed dormancy (see stepped.hpp): until a message arrives or a
+    // public fold's event fires, this node's rounds are no-ops.
+    ctx.doze();
   }
 
   slot_owner_ = step_;

@@ -36,8 +36,23 @@
 // that have work (see sim/runtime_core.hpp, "active set").  A sleeping
 // node's skipped rounds would have been no-ops, so results are bit-identical
 // to stepping it; tests/test_active_set.cpp audits every registered
-// scenario for this.  Fixed and observed steps never sleep: a TDMA slot
-// index and every slot's fold are per-round work.
+// scenario for this.  Fixed steps never rest: a TDMA slot index is
+// per-round work.
+//
+// Observed steps may rest too, under a second contract a subclass opts
+// into by overriding step_dormant.  An observed step's verdict is a fold
+// of the public slot outcomes, which every node would otherwise fold in
+// its own copy each slot; a subclass instead keeps that fold in one
+// sim::PublicFold per engine (NodeContext::public_fold, taken in
+// step_begin), which the engine folds once per slot.  A node for which
+// step_dormant(step) holds at the end of a round then has nothing to do
+// until the fold's event fires: in its following rounds of the step, with
+// an empty inbox, step_round and on_slot draw no RNG, send nothing, write
+// no channel slot and change no state anyone reads, and observed_end(step)
+// turns true only in the round after a fold's event.  SteppedProcess asks
+// the engine to let such a node doze (NodeContext::doze) — skipped until a
+// message arrives or a fold's event fires; an idle slot does not wake it.
+// The audit in tests/test_active_set.cpp covers dozed rounds as well.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +86,14 @@ class SteppedProcess : public sim::Process {
   /// Rounds elapsed inside the current step (0 in the step's first round);
   /// the slot index for kFixed TDMA schedules.  Counts executed rounds, so
   /// it is not available in a barrier step, whose rounds a node may sleep
-  /// through.
+  /// through, nor in an observed step in which step_dormant holds, whose
+  /// rounds it may doze through.
   std::uint64_t rounds_in_step() const {
     MMN_ASSERT(spec_.kind != StepKind::kBarrier,
                "rounds_in_step() is stale in a barrier step (nodes sleep)");
+    MMN_ASSERT(spec_.kind != StepKind::kObserved || !step_dormant(step_),
+               "rounds_in_step() is stale in a dormant observed step "
+               "(nodes doze)");
     return rounds_in_step_;
   }
 
@@ -114,6 +133,12 @@ class SteppedProcess : public sim::Process {
   /// kObserved: end predicate, a function of the observations already fed to
   /// on_slot; must evaluate identically at every node.
   virtual bool observed_end(std::uint64_t step) const;
+
+  /// kObserved: true when this node's rounds in the step, from the end of
+  /// the current one on, are no-ops until a public fold's event fires (the
+  /// observed-dormancy contract above); the node then dozes.  Default:
+  /// never.
+  virtual bool step_dormant(std::uint64_t step) const;
 
  private:
   static constexpr std::uint64_t kNoStep = static_cast<std::uint64_t>(-1);

@@ -59,10 +59,15 @@ void Engine::node_round(unsigned shard, NodeId v) {
   const std::span<const Received> inbox = core_.inbox(v);
   if (!core_.node_up(shard, v, inbox.size())) [[unlikely]] return;
   NodeContext ctx(core_.view(v), core_.rng(v), inbox, core_.slot(),
-                  core_.round(), core_.shard(shard), core_.fault_overlay());
+                  core_.round(), core_.shard(shard), core_.fault_overlay(),
+                  &core_.public_folds());
   processes_[v]->round(ctx);
   core_.note_finished(shard, v, processes_[v]->finished());
-  if (ctx.sleep_requested()) core_.note_sleep(shard, v);
+  if (ctx.sleep_requested()) {
+    core_.note_sleep(shard, v);
+  } else if (ctx.doze_requested()) {
+    core_.note_doze(shard, v);
+  }
 }
 
 bool Engine::step(std::uint64_t rounds) {

@@ -17,8 +17,10 @@
 // sim/runtime_core.hpp.  What is left here is the lockstep order: one
 // Process::round per awake node per round.  A node is awake unless it
 // asked to sleep (NodeContext::sleep) and neither a message nor an idle
-// slot has woken it since — the core's active set, which steps a sleeping
-// barrier-step node (core/stepped.hpp) only when it has work, with results
+// slot has woken it since, or asked to doze (NodeContext::doze) and
+// neither a message nor a public fold's event has woken it since — the
+// core's active set, which steps a resting barrier-step or observed-step
+// node (core/stepped.hpp) only when it has work, with results
 // bit-identical to stepping every node.  Node execution within a round is
 // delegated to a Scheduler — serial by default, or an std::thread pool
 // that shards the node set; both produce bit-identical results for the
@@ -34,7 +36,7 @@
 // reaches node_round through a raw function pointer, and NodeContext is a
 // concrete final class (sim/runtime_core.hpp) staging effects straight into
 // the shard buffer — the only virtual call per stepped node (not per node:
-// a sleeping node costs one flag test) is Process::round itself.  The same
+// a resting node costs one flag test) is Process::round itself.  The same
 // Process still runs on the asynchronous engine underneath the busy-tone
 // synchronizer of Section 7.1, which feeds NodeContext through its sink
 // hooks (see core/synchronizer.hpp).

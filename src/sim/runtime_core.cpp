@@ -400,12 +400,12 @@ void RuntimeCore::step_nodes(Scheduler::NodeFn fn) {
 void RuntimeCore::shard_loop(unsigned s, Scheduler::NodeFn fn) {
   const auto [first, last] =
       Scheduler::shard_range(num_nodes(), s, scheduler_->shards());
-  if (sleepers_ == 0) {
+  if (sleepers_ + dozers_ == 0) {
     for (NodeId v = first; v < last; ++v) fn(s, v);
     return;
   }
   for (NodeId v = first; v < last; ++v) {
-    if ((flags_[v] & kAsleep) == 0) fn(s, v);
+    if ((flags_[v] & kResting) == 0) fn(s, v);
   }
 }
 
@@ -417,7 +417,9 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   const unsigned shards = scheduler_->shards();
   for (unsigned s = 0; s < shards; ++s) {
     sleepers_ += shard_state_[s].slept;
+    dozers_ += shard_state_[s].dozed;
     shard_state_[s].slept = 0;
+    shard_state_[s].dozed = 0;
     ShardBuffer& sb = shard(s);
     for (ChannelWrite& w : sb.channel_writes) {
       slot_writes_.push_back(std::move(w));
@@ -432,28 +434,39 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
   }
   if (seam_ != nullptr) [[unlikely]] exchange_round();
   slot_ = resolve_slot();
-  if (sleepers_ != 0) wake_sleepers();
+  const bool fold_event = folds_.fold(slot_);
+  if (sleepers_ + dozers_ != 0) wake_sleepers(fold_event);
   arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
   advance_round();
 }
 
-/// Clears the sleep bits of the nodes that have work next round, on one
-/// thread between the slot resolution and the flip: on an idle slot every
-/// sleeper; otherwise every destination of a header about to be flipped.
-/// The headers include the ingress from other ranks (already rebased to
-/// local ids) and the slot is replicated on every rank, so a rank wakes its
-/// window alone.
-void RuntimeCore::wake_sleepers() {
-  if (slot_.idle()) {
-    for (char& f : flags_) f &= ~kAsleep;
+/// Clears the rest bits of the nodes that have work next round, on one
+/// thread between the fold and the flip: an idle slot wakes every sleeper,
+/// a fold's event every dozer, and every header about to be flipped its
+/// destination.  The headers include the ingress from other ranks (already
+/// rebased to local ids), and the slot and the folds are replicated on
+/// every rank, so a rank wakes its window alone.
+void RuntimeCore::wake_sleepers(bool fold_event) {
+  char woken = 0;
+  if (slot_.idle() && sleepers_ != 0) {
+    woken |= kAsleep;
     sleepers_ = 0;
-    return;
   }
+  if (fold_event && dozers_ != 0) {
+    woken |= kDozing;
+    dozers_ = 0;
+  }
+  if (woken != 0) {
+    for (char& f : flags_) f &= ~woken;
+  }
+  if (sleepers_ + dozers_ == 0) return;
   for (const ShardBuffer& sb : shards_) {
     for (const MsgHeader& h : sb.outbox) {
-      if ((flags_[h.to] & kAsleep) != 0) {
-        flags_[h.to] &= ~kAsleep;
-        --sleepers_;
+      const char rest = flags_[h.to] & kResting;
+      if (rest != 0) {
+        flags_[h.to] &= ~kResting;
+        sleepers_ -= (rest & kAsleep) != 0;
+        dozers_ -= (rest & kDozing) != 0;
       }
     }
   }

@@ -7,7 +7,8 @@
 // RuntimeCore owns that substrate exactly once, together with everything
 // both engines would otherwise keep twice: the fault runtime and the crash
 // gate in front of every handler call, the per-node finished flags and
-// their per-shard outstanding counters, and the one round/slot counter.
+// their per-shard outstanding counters, the one round/slot counter, and
+// the public folds of the channel record (PublicFold).
 // StagingContext is the fault-gated, payload-interning send path that
 // NodeContext and AsyncContext share.  The engines are thin stepping
 // policies over it: each adds only its stepping order and the header it
@@ -39,17 +40,22 @@
 // The active set: a synchronous round steps only the nodes that have work.
 // A process may ask to sleep (NodeContext::sleep) until a message arrives
 // for it or a channel slot resolves idle — SteppedProcess does, in barrier
-// steps, whose quiet rounds are no-ops by contract (core/stepped.hpp).  The
-// core keeps a sleep bit per node beside its finished bit: a sleep request
-// sets it, and at commit time every destination in the round's flip (own
-// shards and rank ingress alike) clears it, as does, for every node, an
-// idle resolved slot.  Each shard's loop still visits its range in
-// ascending order, skipping the nodes whose bit is set, and shards commit
-// in ascending order; a skipped round would have drawn no RNG and staged
-// nothing, so every digest, Metrics and FaultStats is what stepping every
-// node gives.  While nobody sleeps the loop tests no bit, and the
-// asynchronous policy never sets one.  The one virtual call is per stepped
-// node, not per node.
+// steps, whose quiet rounds are no-ops by contract (core/stepped.hpp) — or
+// to doze (NodeContext::doze) until a message arrives or a public fold's
+// event fires — SteppedProcess does in observed steps whose public state
+// the engine folds (PublicFold).  The core keeps a sleep bit and a doze
+// bit per node beside its finished bit: a request sets one, and at commit
+// time every destination in the round's flip (own shards and rank ingress
+// alike) clears both, an idle resolved slot clears every sleep bit and a
+// fold's event every doze bit.  The folds themselves are folded once per
+// round, on one thread, right after the slot resolves and before the
+// wake; the asynchronous policy folds none.  Each shard's loop still
+// visits its range in ascending order, skipping the nodes with either bit
+// set, and shards commit in ascending order; a skipped round would have
+// drawn no RNG and staged nothing, so every digest, Metrics and FaultStats
+// is what stepping every node gives.  While nobody rests the loop tests no
+// bit, and the asynchronous policy never sets one.  The one virtual call
+// is per stepped node, not per node.
 #pragma once
 
 #include <algorithm>
@@ -57,6 +63,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -226,6 +233,83 @@ struct alignas(64) ShardBuffer {
 struct alignas(64) ShardState {
   std::int64_t outstanding = 0;
   std::uint64_t slept = 0;  ///< nodes that asked to sleep this round
+  std::uint64_t dozed = 0;  ///< nodes that asked to doze this round
+};
+
+/// Public state folded from the channel record once per engine (or rank)
+/// instead of once per node.  Every node hears every slot, so anything a
+/// node derives from slot outcomes alone — a Capetanakis traversal, a
+/// pseudo-Bayesian backlog estimate, the fold of the overheard partials —
+/// is the same at every listener; one copy folded on one thread is exact.
+/// Nodes reach a fold through NodeContext::public_fold and only read it.
+class PublicFold {
+ public:
+  virtual ~PublicFold() = default;
+
+  /// Folds one resolved slot; returns true when the fold's public event
+  /// fires.  The core folds a fold every synchronous round from the round
+  /// that created it (that round's slot first) until its event fires; the
+  /// fold is then retired — never folded again, still readable.
+  virtual bool fold(const SlotObservation& obs) = 0;
+};
+
+/// The public folds of one RuntimeCore, keyed by (fold type, creation
+/// round): every node that asks for a fold of type F in one round shares
+/// one instance.  get is the only access from shard workers and takes a
+/// mutex (it runs once per node per fold, not per round); fold runs on one
+/// thread between the slot resolution and the wake.  Inline mutex and an
+/// empty vector: constructing the core allocates nothing here.
+class PublicFolds {
+ public:
+  /// The fold of type F keyed by `round`, built from make() (an F, returned
+  /// by value) by the first caller of the round.
+  template <class F, class Make>
+  F& get(std::uint64_t round, const Make& make) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Entry& e : entries_) {
+      if (e.tag == &kTag<F> && e.round == round) {
+        return static_cast<F&>(*e.fold);
+      }
+    }
+    entries_.push_back(Entry{&kTag<F>, round, std::make_unique<F>(make())});
+    ++live_;
+    return static_cast<F&>(*entries_.back().fold);
+  }
+
+  /// Folds `obs` into every live fold and retires those whose event fired;
+  /// returns whether any did.  One thread, after the round barrier.
+  bool fold(const SlotObservation& obs) {
+    event_ = false;
+    if (live_ == 0) return false;
+    for (Entry& e : entries_) {
+      if (e.live && e.fold->fold(obs)) {
+        e.live = false;
+        --live_;
+        event_ = true;
+      }
+    }
+    return event_;
+  }
+
+  /// True when some fold's event fired at the last fold() — the wake
+  /// signal of dozing nodes.
+  bool event() const { return event_; }
+
+ private:
+  template <class F>
+  static constexpr char kTag = 0;  ///< one address per fold type
+
+  struct Entry {
+    const char* tag;
+    std::uint64_t round;
+    std::unique_ptr<PublicFold> fold;
+    bool live = true;
+  };
+
+  std::mutex mutex_;
+  std::vector<Entry> entries_;
+  std::size_t live_ = 0;
+  bool event_ = false;
 };
 
 /// The staging half both per-node contexts share (NodeContext here,
@@ -366,12 +450,15 @@ class NodeContext final : public StagingContext<NodeContext> {
     void* self = nullptr;
   };
 
-  /// Engine staging path: effects go to `shard`, merged after the barrier.
+  /// Engine staging path: effects go to `shard`, merged after the barrier;
+  /// `folds` are the engine's public folds (null: public_fold unavailable).
   NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
               const SlotObservation& slot, std::uint64_t round,
-              ShardBuffer& shard, const EpochOverlay* faults = nullptr)
+              ShardBuffer& shard, const EpochOverlay* faults = nullptr,
+              PublicFolds* folds = nullptr)
       : StagingContext(view, rng, &shard, faults),
         slot_(&slot),
+        folds_(folds),
         inbox_(inbox),
         round_(round) {}
 
@@ -447,10 +534,30 @@ class NodeContext final : public StagingContext<NodeContext> {
   /// True if the process asked to sleep during this round.
   bool sleep_requested() const { return sleep_; }
 
+  /// Asks the engine not to step this node again until a message arrives
+  /// for it or a public fold's event fires (an idle slot does not wake it).
+  /// The same no-op condition as sleep() holds for the rounds it skips; a
+  /// node that asks for both sleeps.  The sink path ignores it too.
+  void doze() { doze_ = true; }
+
+  /// True if the process asked to doze during this round.
+  bool doze_requested() const { return doze_; }
+
+  /// The engine's public fold of type F created in this round, built from
+  /// make() by the first node that asks (see PublicFold).  Called in the
+  /// round a step begins, it gives every node that begins the step in
+  /// that round the same fold.  Engine-backed contexts only.
+  template <class F, class Make>
+  F& public_fold(const Make& make) {
+    MMN_REQUIRE(folds_ != nullptr, "public folds need an engine-backed context");
+    return folds_->get<F>(round_, make);
+  }
+
  private:
   friend class StagingContext<NodeContext>;
-  /// Test-only (tests/test_active_set.cpp): withdraws a sleep request so
-  /// sleeping nodes are stepped anyway and audited.
+  /// Test-only (tests/test_active_set.cpp): withdraws a sleep or doze
+  /// request so resting nodes are stepped anyway and audited, and reads
+  /// the fold event that would have woken a dozer.
   friend struct SleepAudit;
 
   /// The synchronous header: delivered next round, no delay to draw.
@@ -459,16 +566,18 @@ class NodeContext final : public StagingContext<NodeContext> {
   }
 
   const SlotObservation* slot_;
+  PublicFolds* folds_ = nullptr;
   Sink sink_{};
   std::span<const Received> inbox_;
   std::uint64_t round_;
   bool wrote_channel_ = false;
   bool sent_message_ = false;
   bool sleep_ = false;
+  bool doze_ = false;
 };
 
 /// A node program.  round() is invoked once per simulated round, except in
-/// rounds it slept through (NodeContext::sleep).
+/// rounds it slept or dozed through (NodeContext::sleep, NodeContext::doze).
 class Process {
  public:
   virtual ~Process() = default;
@@ -802,6 +911,16 @@ class RuntimeCore {
     ++shard_state_[s].slept;
   }
 
+  /// Dozes node v (local index) after its round, like note_sleep: its doze
+  /// bit is set and counted.
+  void note_doze(unsigned s, NodeId v) {
+    flags_[v] |= kDozing;
+    ++shard_state_[s].dozed;
+  }
+
+  /// The public folds run_round folds after every slot (PublicFold).
+  PublicFolds& public_folds() { return folds_; }
+
   /// True when no node of any rank is outstanding.
   bool all_finished() const {
     for (const ShardState& s : shard_state_) {
@@ -845,9 +964,9 @@ class RuntimeCore {
   /// the round's awake owned nodes (local index) under the scheduler, then
   /// commits deterministically — channel writes and p2p sends merged in
   /// ascending shard order, on a sharded run swapped with the other ranks
-  /// (exchange_round), slot resolved, sleepers with work woken, arena
-  /// flipped, round advanced.  `fn` reports a stepped node's sleep request
-  /// through note_sleep.
+  /// (exchange_round), slot resolved, the public folds folded, resting
+  /// nodes with work woken, arena flipped, round advanced.  `fn` reports a
+  /// stepped node's sleep or doze request through note_sleep / note_doze.
   void run_round(Scheduler::NodeFn fn);
 
   /// Cross-shard messages this rank sent to peers (headers on the wire);
@@ -891,7 +1010,7 @@ class RuntimeCore {
 
   void init_outstanding();
   void shard_loop(unsigned s, Scheduler::NodeFn fn);
-  void wake_sleepers();
+  void wake_sleepers(bool fold_event);
   void exchange_round();
 
   const Graph* graph_;
@@ -912,13 +1031,17 @@ class RuntimeCore {
   std::unique_ptr<FaultRuntime> faults_;  ///< null on the fault-free path
   std::uint64_t round_ = 0;  ///< synchronous round = asynchronous slot
   bool started_ = false;     ///< some node handler has run
-  /// Per-node kFinished | kAsleep bits.  A char per node: each shard's
-  /// worker writes only its own nodes' bytes, so shards never race.
+  /// Per-node kFinished | kAsleep | kDozing bits.  A char per node: each
+  /// shard's worker writes only its own nodes' bytes, so shards never race.
   std::vector<char> flags_;
   static constexpr char kFinished = 1;
   static constexpr char kAsleep = 2;
+  static constexpr char kDozing = 4;
+  static constexpr char kResting = kAsleep | kDozing;
   std::vector<ShardState> shard_state_;  ///< per scheduler shard
   std::uint64_t sleepers_ = 0;  ///< nodes with kAsleep set
+  std::uint64_t dozers_ = 0;    ///< nodes with kDozing set
+  PublicFolds folds_;
   std::int64_t remote_outstanding_ = 0;  ///< other ranks' total, last swap
   std::unique_ptr<RankSeam> seam_;  ///< null on a single rank
 };

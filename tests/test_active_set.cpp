@@ -1,20 +1,24 @@
 // The active set: the synchronous engine steps only the nodes that have
 // work.  A node may ask to sleep (NodeContext::sleep) until a message
-// arrives for it or a channel slot resolves idle; SteppedProcess asks at
-// the end of every barrier-step round whose step_done() holds, and the
-// reactive-barrier contract (core/stepped.hpp) makes the rounds it sleeps
-// through no-ops.  This file holds the engine to that bargain:
+// arrives for it or a channel slot resolves idle, or to doze
+// (NodeContext::doze) until a message arrives or a public fold's event
+// fires.  SteppedProcess asks to sleep at the end of every barrier-step
+// round whose step_done() holds and to doze at the end of every
+// observed-step round whose step_dormant() holds; the contracts in
+// core/stepped.hpp make the rounds it rests through no-ops.  This file
+// holds the engine to that bargain:
 //
 //  * the audit — every synchronous registry scenario, serial, 4 threads and
-//    2 ranks, re-run with the sleep requests withdrawn so the engine steps
-//    every node, checking each round the active set would have skipped:
-//    no RNG draw, no send, no channel write; the digest, Metrics and
-//    FaultStats must equal the active-set run's;
+//    2 ranks, re-run with the sleep and doze requests withdrawn so the
+//    engine steps every node, checking each round the active set would
+//    have skipped: no RNG draw, no send, no channel write; the digest,
+//    Metrics and FaultStats must equal the active-set run's;
 //  * the cut — global/min/rand/ring at n = 4096, seed 7, makes an exact,
-//    pinned number of handler calls, at most a quarter of n × rounds;
-//  * the wake rules on a toy process: a message wakes its destination (also
-//    across ranks), an idle slot wakes everyone, and a sleeper that crashes
-//    and is sent a message drops it exactly as the dense run does.
+//    pinned number of handler calls, at most 2% of n × rounds;
+//  * the wake rules on toy processes: a message wakes its destination (also
+//    across ranks), an idle slot wakes every sleeper but no dozer, a fold's
+//    event wakes every dozer, and a sleeper that crashes and is sent a
+//    message drops it exactly as the dense run does.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -37,9 +41,17 @@
 namespace mmn::sim {
 
 /// The seam NodeContext befriends for this file: withdraws a node's sleep
-/// request, so the engine keeps stepping it.
+/// or doze request, so the engine keeps stepping it, and tells whether a
+/// public fold's event fired at the end of the previous round (the wake
+/// signal of dozers).
 struct SleepAudit {
-  static void withdraw(NodeContext& ctx) { ctx.sleep_ = false; }
+  static void withdraw(NodeContext& ctx) {
+    ctx.sleep_ = false;
+    ctx.doze_ = false;
+  }
+  static bool fold_event(const NodeContext& ctx) {
+    return ctx.folds_ != nullptr && ctx.folds_->event();
+  }
 };
 
 }  // namespace mmn::sim
@@ -47,37 +59,45 @@ struct SleepAudit {
 namespace mmn {
 namespace {
 
-/// Rounds the audit stepped although the node slept through them, in this
-/// process (a sharded run's rank 0; the other ranks count in their own).
-std::atomic<std::uint64_t> g_audited{0};
+/// Rounds the audit stepped although the node slept (dozed) through them,
+/// in this process (a sharded run's rank 0; the other ranks count in their
+/// own).
+std::atomic<std::uint64_t> g_audited_sleeps{0};
+std::atomic<std::uint64_t> g_audited_dozes{0};
 
-/// Steps its inner process every round and withdraws every sleep request,
-/// so the engine stays dense.  On each round the active set would have
-/// skipped — the node's last request was to sleep, its inbox is empty and
-/// the previous slot was busy — it checks that the inner round was a no-op:
-/// the RNG stream did not move, nothing was sent, the channel was not
-/// written.  A violation throws, which fails the run under any scheduler
-/// (rethrown on the caller) and any rank (the parent throws).
+/// Steps its inner process every round and withdraws every sleep and doze
+/// request, so the engine stays dense.  On each round the active set would
+/// have skipped — the inbox is empty and the node's last request was to
+/// sleep with the previous slot busy, or to doze with no fold event since —
+/// it checks that the inner round was a no-op: the RNG stream did not move,
+/// nothing was sent, the channel was not written.  A violation throws,
+/// which fails the run under any scheduler (rethrown on the caller) and any
+/// rank (the parent throws).
 class AuditProcess final : public sim::Process {
  public:
   explicit AuditProcess(std::unique_ptr<sim::Process> inner)
       : inner_(std::move(inner)) {}
 
   void round(sim::NodeContext& ctx) override {
-    const bool skipped =
-        dormant_ && ctx.inbox().empty() && !ctx.slot().idle();
+    const bool slept = asleep_ && !ctx.slot().idle();
+    const bool dozed = dozing_ && !sim::SleepAudit::fold_event(ctx);
+    const bool skipped = ctx.inbox().empty() && (slept || dozed);
     const Rng before = ctx.rng();
     inner_->round(ctx);
     if (skipped) {
-      g_audited.fetch_add(1, std::memory_order_relaxed);
+      (slept ? g_audited_sleeps : g_audited_dozes)
+          .fetch_add(1, std::memory_order_relaxed);
       if (!(ctx.rng() == before) || ctx.sent_message() ||
           ctx.wrote_channel()) {
         throw std::logic_error(
             "node " + std::to_string(ctx.self()) + " acted in round " +
-            std::to_string(ctx.round()) + ", which it slept through");
+            std::to_string(ctx.round()) + ", which it " +
+            (slept ? "slept" : "dozed") + " through");
       }
     }
-    dormant_ = ctx.sleep_requested();
+    // The engine lets a sleep request win over a doze request.
+    asleep_ = ctx.sleep_requested();
+    dozing_ = !asleep_ && ctx.doze_requested();
     sim::SleepAudit::withdraw(ctx);
   }
 
@@ -87,7 +107,8 @@ class AuditProcess final : public sim::Process {
 
  private:
   std::unique_ptr<sim::Process> inner_;
-  bool dormant_ = false;
+  bool asleep_ = false;
+  bool dozing_ = false;
 };
 
 /// Counts handler calls, forwards everything — sleep requests included, so
@@ -161,13 +182,15 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
                         {"4 threads", {.threads = 4}},
                         {"2 ranks", {.ranks = 2}}};
   for (const Mode& mode : modes) {
-    std::uint64_t audited_rounds = 0;
+    std::uint64_t audited_sleeps = 0;
+    std::uint64_t audited_dozes = 0;
     for (const scenario::Scenario& s : scenario::Registry::instance().all()) {
       if (s.recovery() && mode.config.ranks > 1) continue;  // not shardable
       const NodeId n = s.sweep_n.front();
       const scenario::RunResult active =
           scenario::run(s, n, s.default_seed, mode.config);
-      const std::uint64_t before = g_audited.load();
+      const std::uint64_t sleeps_before = g_audited_sleeps.load();
+      const std::uint64_t dozes_before = g_audited_dozes.load();
       scenario::RunResult dense;
       try {
         dense = scenario::run(audited(s), n, s.default_seed, mode.config);
@@ -175,7 +198,8 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
         ADD_FAILURE() << s.name << " (" << mode.name << "): " << e.what();
         continue;
       }
-      audited_rounds += g_audited.load() - before;
+      audited_sleeps += g_audited_sleeps.load() - sleeps_before;
+      audited_dozes += g_audited_dozes.load() - dozes_before;
       EXPECT_TRUE(active.metrics == dense.metrics)
           << s.name << " (" << mode.name << "): metrics diverged\n"
           << "active set: " << active.metrics.to_string() << "\n"
@@ -186,8 +210,9 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
           << s.name << " (" << mode.name << "): fault stats diverged";
       EXPECT_EQ(active.completed, dense.completed) << s.name;
     }
-    // The audit is vacuous unless some node actually slept.
-    EXPECT_GT(audited_rounds, 0u) << mode.name;
+    // The audit is vacuous unless some node actually slept and dozed.
+    EXPECT_GT(audited_sleeps, 0u) << mode.name;
+    EXPECT_GT(audited_dozes, 0u) << mode.name;
   }
 }
 
@@ -199,8 +224,10 @@ TEST(ActiveSet, RingHandlerCallsArePinnedAndCut) {
   constexpr NodeId kN = 4096;
   constexpr std::uint64_t kSeed = 7;
   const scenario::RunResult plain = scenario::run(*s, kN, kSeed);
-  // Stepping every node would make n x rounds calls; the set of sleepers is
-  // the same under any scheduler, so the count is too.
+  // Stepping every node would make n x rounds calls; the set of resting
+  // nodes is the same under any scheduler, so the count is too.  Barrier
+  // sleep alone made 1,641,974 calls; dozing through the global stage,
+  // whose public state the engine folds once, leaves the roots' calls.
   for (unsigned threads : {1u, 4u}) {
     std::atomic<std::uint64_t> calls{0};
     const scenario::RunResult r =
@@ -209,10 +236,10 @@ TEST(ActiveSet, RingHandlerCallsArePinnedAndCut) {
     EXPECT_EQ(r.digest, plain.digest);
     EXPECT_TRUE(r.metrics == plain.metrics);
     const std::uint64_t node_rounds = std::uint64_t{kN} * r.metrics.rounds;
-    EXPECT_EQ(calls.load(), 1641974u)
+    EXPECT_EQ(calls.load(), 134034u)
         << "of " << node_rounds << " node-rounds, " << threads
         << " thread(s)";
-    EXPECT_LE(calls.load() * 4, node_rounds)
+    EXPECT_LE(calls.load() * 50, node_rounds)
         << calls.load() << " handler calls for " << node_rounds
         << " node-rounds";
   }
@@ -349,6 +376,115 @@ TEST(ActiveSet, CrashedSleeperDropsWhatTheDenseRunDrops) {
   const std::vector<std::uint64_t> node1{0, kSendAt + 3, kBusyUntil + 1};
   EXPECT_EQ(toy(active, 1).stepped_, node1);
   EXPECT_EQ(toy(active, kToyN - 1).stepped_, expected_rounds(kToyN - 1));
+}
+
+// --- Doze: fold events wake, idle slots do not ----------------------------
+
+constexpr std::uint64_t kIdleAt = 5;   // the one round node 0 stays silent
+constexpr std::uint64_t kEventAt = 7;  // the fold's event fires on this slot
+
+/// Counts folded slots; its event fires on the slot of round kEventAt.
+class SlotCountFold final : public sim::PublicFold {
+ public:
+  bool fold(const sim::SlotObservation&) override {
+    return ++folded_ == kEventAt + 1;
+  }
+  bool fired() const { return folded_ > kEventAt; }
+
+ private:
+  std::uint64_t folded_ = 0;
+};
+
+enum class Rest : std::uint8_t { kNone, kSleep, kDoze };
+
+/// On a ring: every node takes the round-0 SlotCountFold and finishes in
+/// the first round it sees the fold's event.  Until then node 0 writes the
+/// channel every round but kIdleAt and broadcasts to its two neighbors in
+/// round kSendAt; every other node logs the rounds it is stepped in and
+/// rests as told.
+class FoldToyProcess final : public sim::Process {
+ public:
+  FoldToyProcess(const sim::LocalView& view, Rest rest)
+      : view_(view), rest_(rest) {}
+
+  void round(sim::NodeContext& ctx) override {
+    stepped_.push_back(ctx.round());
+    if (ctx.round() == 0) {
+      fold_ = &ctx.public_fold<SlotCountFold>([] { return SlotCountFold(); });
+    }
+    if (fold_->fired()) {
+      finished_ = true;
+      return;
+    }
+    received_ += ctx.inbox().size();
+    if (view_.self == 0) {
+      if (ctx.round() != kIdleAt) ctx.channel_write(sim::Packet(1));
+      if (ctx.round() == kSendAt) ctx.broadcast(sim::Packet(2));
+      return;
+    }
+    if (rest_ == Rest::kSleep) ctx.sleep();
+    if (rest_ == Rest::kDoze) ctx.doze();
+  }
+
+  bool finished() const override { return finished_; }
+
+  std::vector<std::uint64_t> stepped_;
+  std::uint64_t received_ = 0;
+
+ private:
+  const sim::LocalView& view_;
+  Rest rest_;
+  const SlotCountFold* fold_ = nullptr;
+  bool finished_ = false;
+};
+
+const FoldToyProcess& fold_toy(const sim::Engine& e, NodeId v) {
+  return static_cast<const FoldToyProcess&>(e.process(v));
+}
+
+sim::Engine fold_toy_engine(const Graph& g, Rest rest, unsigned threads) {
+  return sim::Engine(
+      g,
+      [rest](const sim::LocalView& v) {
+        return std::make_unique<FoldToyProcess>(v, rest);
+      },
+      5, sim::make_scheduler(threads));
+}
+
+TEST(ActiveSet, FoldEventsAndMessagesWakeDozersIdleSlotsDoNot) {
+  const Graph g = ring(kToyN, 3);
+  for (unsigned threads : {1u, 2u}) {
+    sim::Engine dense = fold_toy_engine(g, Rest::kNone, threads);
+    sim::Engine dozing = fold_toy_engine(g, Rest::kDoze, threads);
+    sim::Engine sleeping = fold_toy_engine(g, Rest::kSleep, threads);
+    dense.run(100);
+    dozing.run(100);
+    sleeping.run(100);
+    ASSERT_EQ(dozing.status(), sim::RunStatus::kCompleted);
+    ASSERT_EQ(sleeping.status(), sim::RunStatus::kCompleted);
+    EXPECT_TRUE(dense.metrics() == dozing.metrics());
+    EXPECT_EQ(dozing.metrics().rounds, kEventAt + 2);
+    for (NodeId v = 1; v < kToyN; ++v) {
+      const bool neighbor = v == 1 || v == kToyN - 1;
+      // A dozer wakes for node 0's message and for the event, never for
+      // the idle slot of round kIdleAt.
+      std::vector<std::uint64_t> dozer{0, kEventAt + 1};
+      // A sleeper wakes for the message and the idle slot but sleeps
+      // through the event, until node 0's silence after finishing.
+      std::vector<std::uint64_t> sleeper{0, kIdleAt + 1, kEventAt + 2};
+      if (neighbor) {
+        dozer.insert(dozer.begin() + 1, kSendAt + 1);
+        sleeper.insert(sleeper.begin() + 1, kSendAt + 1);
+      }
+      EXPECT_EQ(fold_toy(dozing, v).stepped_, dozer)
+          << "node " << v << ", " << threads << " thread(s)";
+      EXPECT_EQ(fold_toy(sleeping, v).stepped_, sleeper)
+          << "node " << v << ", " << threads << " thread(s)";
+      EXPECT_EQ(fold_toy(dozing, v).received_, fold_toy(dense, v).received_);
+      EXPECT_EQ(fold_toy(sleeping, v).received_,
+                fold_toy(dense, v).received_);
+    }
+  }
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 // ranks of a sharded Engine run — each rank process counts its own
 // allocations, so the window covers the per-round partition, frame
 // encode/decode and socket swap too.  Rounds in which some nodes sleep
-// (the synchronous engine's active set) are held to the same bound.
+// (the synchronous engine's active set), and the global stage's rounds, in
+// which the engine folds the public state and most nodes doze, are held to
+// the same bound.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -21,11 +23,13 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/openloop.hpp"
 #include "graph/generators.hpp"
+#include "scenario/registry.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
@@ -319,6 +323,53 @@ TEST(SteadyStateAllocation, TwoRankActiveSetRoundsAllocateNothing) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << e.what();
     }
+  }
+}
+
+/// Forwards to a registry process and raises `dozed` once it asks to doze:
+/// in global/min/rand/ring that first happens in the global stage's first
+/// round, when every node has taken the engine's one public fold.
+class DozeProbe final : public Process {
+ public:
+  DozeProbe(std::unique_ptr<Process> inner, std::atomic<bool>& dozed)
+      : inner_(std::move(inner)), dozed_(&dozed) {}
+
+  void round(NodeContext& ctx) override {
+    inner_->round(ctx);
+    if (ctx.doze_requested()) dozed_->store(true, std::memory_order_relaxed);
+  }
+
+  bool finished() const override { return inner_->finished(); }
+
+ private:
+  std::unique_ptr<Process> inner_;
+  std::atomic<bool>* dozed_;
+};
+
+TEST(SteadyStateAllocation, ObservedStageRoundsAllocateNothing) {
+  // The global stage once its fold exists: the engine folds each slot into
+  // the shared resolver state, the pending roots decide through it, and
+  // everyone else dozes — no round of it may allocate.
+  scenario::register_builtin();
+  const scenario::Scenario* s =
+      scenario::Registry::instance().find("global/min/rand/ring");
+  ASSERT_NE(s, nullptr);
+  const Graph g = scenario::make_scenario_graph(*s, 4096, 7);
+  const ProcessFactory inner = s->make_factory(g);
+  for (unsigned threads : {1u, 4u}) {
+    std::atomic<bool> dozed{false};
+    Engine engine(g, [&](const LocalView& v) {
+      return std::make_unique<DozeProbe>(inner(v), dozed);
+    }, 7, threads <= 1 ? nullptr : make_scheduler(threads));
+    while (!dozed.load()) {
+      ASSERT_FALSE(engine.step(1)) << "finished before the global stage";
+    }
+    const std::uint64_t allocs =
+        measure([&engine](std::uint64_t rounds) { engine.step(rounds); });
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " heap allocations in " << kMeasuredRounds
+        << " global-stage rounds with " << threads << " thread(s)";
+    EXPECT_FALSE(engine.step(0)) << "the stage ended inside the window";
   }
 }
 

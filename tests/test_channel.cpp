@@ -331,6 +331,79 @@ TEST(RandomizedScheduler, RobustToBadInitialEstimate) {
   EXPECT_EQ(run_randomized(3, 500.0, 8).scheduled, 3u);
 }
 
+TEST(RandomizedScheduler, ListenerDecidesForAPendingStationDrawForDraw) {
+  // One pending station and a listener over the same seeded slot history:
+  // station_transmits on the listener, with a twin of the station's RNG,
+  // must make every should_transmit decision and leave both streams equal
+  // after every slot — this is what lets a node defer to one shared fold.
+  Rng history(17);
+  RandomizedScheduler station(6.0, /*pending=*/true);
+  RandomizedScheduler listener(6.0, /*pending=*/false);
+  Rng own(99);
+  Rng twin(99);
+  std::uint64_t slots = 0;
+  while (!station.succeeded()) {
+    ASSERT_LT(slots, 10'000u) << "station never succeeded";
+    const bool decided = station.should_transmit(own);
+    EXPECT_EQ(listener.station_transmits(twin), decided) << "slot " << slots;
+    EXPECT_TRUE(own == twin) << "draws diverged in slot " << slots;
+    // Other stations: idle, success or collision at random; the station's
+    // own write collides with anyone else's.
+    const auto others = history.next_below(3);
+    SlotObservation obs;
+    if (decided) {
+      obs.state = others == 0 ? sim::SlotState::kSuccess
+                              : sim::SlotState::kCollision;
+      obs.writer = 0;
+    } else if (others == 1) {
+      obs.state = sim::SlotState::kSuccess;
+      obs.writer = 1;
+    } else if (others == 2) {
+      obs.state = sim::SlotState::kCollision;
+    }
+    station.observe(obs, obs.success() && obs.writer == 0);
+    listener.observe(obs);
+    ++slots;
+  }
+  EXPECT_GT(slots, 4u);
+  EXPECT_FALSE(listener.done());
+}
+
+TEST(Capetanakis, ProbeMembershipIsShouldTransmit) {
+  // A listener's probe interval, tested for a station's id, is the
+  // station's own should_transmit over a whole traversal.
+  const std::uint64_t n = 256;
+  const auto ids = pick_ids(n, 12, 31);
+  std::vector<CapetanakisResolver> stations;
+  for (std::uint64_t id : ids) stations.emplace_back(n, id);
+  CapetanakisResolver listener(n, std::nullopt);
+  Channel channel;
+  Metrics metrics;
+  std::vector<bool> pending(ids.size(), true);
+  while (!listener.done()) {
+    const auto probe = listener.probe();
+    ASSERT_TRUE(probe.has_value());
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      const bool in_probe = pending[s] && ids[s] >= probe->first &&
+                            ids[s] < probe->second;
+      EXPECT_EQ(in_probe, stations[s].should_transmit()) << "id " << ids[s];
+      if (in_probe) {
+        channel.write(static_cast<NodeId>(ids[s]),
+                      Packet(1, {static_cast<sim::Word>(ids[s])}));
+      }
+    }
+    const SlotObservation obs = channel.resolve(metrics);
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      const bool mine =
+          obs.success() && obs.writer == static_cast<NodeId>(ids[s]);
+      stations[s].observe(obs, mine);
+      if (mine) pending[s] = false;
+    }
+    listener.observe(obs);
+  }
+  EXPECT_EQ(listener.success_count(), ids.size());
+}
+
 // --- TDMA ----------------------------------------------------------------
 
 TEST(Tdma, OwnerCycles) {

@@ -182,6 +182,48 @@ TEST(Stepped, ObservedStepEndsOnSharedVerdict) {
   }
 }
 
+/// One step of the given kind that reads rounds_in_step() every round and
+/// ends after four rounds of it; `dormant` is its step_dormant verdict.
+class CounterReadingProcess final : public SteppedProcess {
+ public:
+  CounterReadingProcess(StepKind kind, bool dormant)
+      : kind_(kind), dormant_(dormant) {}
+
+  std::uint64_t last_ = 0;
+
+ protected:
+  std::uint64_t num_steps() const override { return 1; }
+  StepSpec step_spec(std::uint64_t) const override { return {kind_, 4}; }
+  void step_begin(std::uint64_t, sim::NodeContext&) override {}
+  void on_message(std::uint64_t, const sim::Received&,
+                  sim::NodeContext&) override {}
+  void step_round(std::uint64_t, sim::NodeContext&) override {
+    last_ = rounds_in_step();
+  }
+  bool observed_end(std::uint64_t) const override { return last_ >= 3; }
+  bool step_dormant(std::uint64_t) const override { return dormant_; }
+
+ private:
+  StepKind kind_;
+  bool dormant_;
+};
+
+void run_counter_reader(StepKind kind, bool dormant) {
+  const Graph g = ring(4, 1);
+  sim::Engine engine(g, [&](const sim::LocalView&) {
+    return std::make_unique<CounterReadingProcess>(kind, dormant);
+  }, 3);
+  engine.run(100);
+}
+
+TEST(Stepped, RoundsInStepIsStaleWhereNodesRest) {
+  // Observed step, never dormant: every round runs, the counter is live.
+  run_counter_reader(StepKind::kObserved, false);
+  EXPECT_DEATH(run_counter_reader(StepKind::kObserved, true),
+               "dormant observed step");
+  EXPECT_DEATH(run_counter_reader(StepKind::kBarrier, false), "barrier step");
+}
+
 TEST(Stepped, SequenceRunsStagesBackToBack) {
   const Graph g = path(4, 1);
   sim::Engine engine(g, [](const sim::LocalView& v) {
