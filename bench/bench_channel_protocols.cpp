@@ -5,7 +5,6 @@
 // station set), pseudo-Bayesian randomized resolution (Metcalfe–Boggs), and
 // TDMA (needs the station order known a priori — the unreachable optimum).
 // Plus the deterministic bit-by-bit election (O(log n) slots).
-#include <optional>
 #include <set>
 
 #include "channel/capetanakis.hpp"
@@ -28,25 +27,28 @@ std::vector<std::uint64_t> pick_ids(std::uint64_t n, std::size_t k,
   return {ids.begin(), ids.end()};
 }
 
+// Stations decide through the one listener and keep only a pending bit:
+// Capetanakis probe membership, or the pseudo-Bayesian draw from each
+// station's own RNG.
 std::uint64_t capetanakis_slots(std::uint64_t n,
                                 const std::vector<std::uint64_t>& ids,
                                 bool massey_skip) {
-  std::vector<CapetanakisResolver> stations;
-  for (std::uint64_t id : ids) stations.emplace_back(n, id, massey_skip);
-  CapetanakisResolver listener(n, std::nullopt, massey_skip);
+  CapetanakisResolver listener(n, massey_skip);
+  std::vector<bool> pending(ids.size(), true);
   sim::Channel channel;
   Metrics metrics;
   std::uint64_t slots = 0;
   while (!listener.done()) {
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      if (stations[s].should_transmit()) {
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      if (pending[s] && listener.station_transmits(ids[s])) {
         channel.write(static_cast<NodeId>(ids[s]), sim::Packet(1));
       }
     }
     const auto obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      stations[s].observe(obs, obs.success() &&
-                                   obs.writer == static_cast<NodeId>(ids[s]));
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      if (obs.success() && obs.writer == static_cast<NodeId>(ids[s])) {
+        pending[s] = false;
+      }
     }
     listener.observe(obs);
     ++slots;
@@ -56,29 +58,23 @@ std::uint64_t capetanakis_slots(std::uint64_t n,
 
 double randomized_slots(std::size_t k, std::uint64_t seed) {
   Rng root(seed);
-  std::vector<RandomizedScheduler> stations;
   std::vector<Rng> rngs;
-  for (std::size_t s = 0; s < k; ++s) {
-    stations.emplace_back(static_cast<double>(k), true);
-    rngs.push_back(root.fork(s));
-  }
-  RandomizedScheduler listener(static_cast<double>(k), false);
-  Rng lrng = root.fork(k + 7);
+  for (std::size_t s = 0; s < k; ++s) rngs.push_back(root.fork(s));
+  std::vector<bool> pending(k, true);
+  RandomizedScheduler listener(static_cast<double>(k));
   sim::Channel channel;
   Metrics metrics;
   std::uint64_t slots = 0;
   while (!listener.done()) {
     for (std::size_t s = 0; s < k; ++s) {
-      if (stations[s].should_transmit(rngs[s])) {
+      if (pending[s] && listener.station_transmits(rngs[s])) {
         channel.write(static_cast<NodeId>(s), sim::Packet(1));
       }
     }
-    (void)listener.should_transmit(lrng);
     const auto obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < k; ++s) {
-      stations[s].observe(obs, obs.success() && obs.writer == s);
-    }
+    const std::uint64_t before = listener.success_count();
     listener.observe(obs);
+    if (listener.success_count() != before) pending[obs.writer] = false;
     ++slots;
   }
   return static_cast<double>(slots);

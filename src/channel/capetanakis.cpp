@@ -5,25 +5,13 @@
 namespace mmn {
 
 CapetanakisResolver::CapetanakisResolver(std::uint64_t id_bound,
-                                         std::optional<std::uint64_t> my_id,
-                                         bool massey_skip,
-                                         bool collect_successes)
-    : my_id_(my_id),
-      massey_skip_(massey_skip),
-      collect_successes_(collect_successes) {
+                                         bool massey_skip)
+    : massey_skip_(massey_skip) {
   MMN_REQUIRE(id_bound >= 1, "id space must be non-empty");
-  MMN_REQUIRE(!my_id || *my_id < id_bound, "id outside the id space");
   stack_.push_back(Interval{0, id_bound, false});
 }
 
-bool CapetanakisResolver::should_transmit() const {
-  if (!my_id_ || succeeded_ || stack_.empty()) return false;
-  const Interval& top = stack_.back();
-  return *my_id_ >= top.lo && *my_id_ < top.hi;
-}
-
-void CapetanakisResolver::observe(const sim::SlotObservation& obs,
-                                  bool success_was_mine) {
+void CapetanakisResolver::observe(const sim::SlotObservation& obs) {
   MMN_REQUIRE(!stack_.empty(), "observe after traversal completed");
   const Interval top = stack_.back();
   stack_.pop_back();
@@ -44,8 +32,6 @@ void CapetanakisResolver::observe(const sim::SlotObservation& obs,
       break;
     case sim::SlotState::kSuccess:
       ++success_count_;
-      if (collect_successes_) successes_.push_back(obs.payload);
-      if (success_was_mine) succeeded_ = true;
       break;
     case sim::SlotState::kCollision: {
       MMN_ASSERT(top.hi - top.lo >= 2,

@@ -8,9 +8,10 @@
 // O(k log(id_bound / k) + k) slots for k stations.
 //
 // The traversal state is a pure function of the shared slot observations, so
-// every node — contender or listener — tracks an identical copy and detects
-// termination at the same slot.  This is what the paper uses to schedule the
-// O(sqrt(n)) fragment cores deterministically (Sections 5 and 6).
+// one listener copy answers for every station (station_transmits) and detects
+// termination for every node; the protocols fold it once per engine
+// (sim::PublicFold).  This is what the paper uses to schedule the O(sqrt(n))
+// fragment cores deterministically (Sections 5 and 6).
 #pragma once
 
 #include <cstdint>
@@ -24,20 +25,12 @@ namespace mmn {
 
 class CapetanakisResolver {
  public:
-  /// A listener (never transmits) tracks the schedule with my_id == nullopt.
   /// `massey_skip` enables the classic improvement: when a collision's left
   /// half turns out idle, the right half must still hold >= 2 stations, so
   /// its doomed probe is skipped and it is split immediately.  The resulting
   /// schedule is identical; only the slot count shrinks.
-  /// `collect_successes` controls whether success payloads are recorded in
-  /// successes().  A caller that folds each success as it arrives (watch
-  /// success_count() across observe()) should pass false — the default
-  /// copies every success payload at EVERY listening node.
-  CapetanakisResolver(std::uint64_t id_bound, std::optional<std::uint64_t> my_id,
-                      bool massey_skip = false, bool collect_successes = true);
-
-  /// True if this node must transmit in the upcoming slot.
-  bool should_transmit() const;
+  explicit CapetanakisResolver(std::uint64_t id_bound,
+                               bool massey_skip = false);
 
   /// The id interval [lo, hi) probed by the upcoming slot, or nullopt once
   /// the traversal is done.  This is the collision-set bookkeeping hook a
@@ -48,23 +41,18 @@ class CapetanakisResolver {
     return std::make_pair(stack_.back().lo, stack_.back().hi);
   }
 
+  /// Whether pending station `id` transmits in the upcoming slot.
+  bool station_transmits(std::uint64_t id) const {
+    return !stack_.empty() && id >= stack_.back().lo && id < stack_.back().hi;
+  }
+
   /// Feeds the outcome of the slot everyone just observed.
-  /// `success_was_mine` — the caller saw its own id as the slot writer.
-  void observe(const sim::SlotObservation& obs, bool success_was_mine = false);
+  void observe(const sim::SlotObservation& obs);
 
   /// Traversal complete: every contending station has had a success slot.
   bool done() const { return stack_.empty(); }
 
-  /// True once this node's own transmission went through.
-  bool succeeded() const { return succeeded_; }
-
-  /// Payloads of all success slots, in schedule order (identical at every
-  /// node — the channel is heard by all).  Empty when constructed with
-  /// collect_successes == false.
-  const std::vector<sim::Packet>& successes() const { return successes_; }
-
-  /// Number of success slots observed so far (maintained regardless of
-  /// collect_successes — compare across observe() to fold incrementally).
+  /// Number of success slots observed so far.
   std::uint64_t success_count() const { return success_count_; }
 
  private:
@@ -74,13 +62,9 @@ class CapetanakisResolver {
     bool right_sibling = false;  // this interval is a collision's right half
   };
 
-  std::optional<std::uint64_t> my_id_;
   bool massey_skip_;
-  bool collect_successes_;
-  bool succeeded_ = false;
   std::uint64_t success_count_ = 0;
   std::vector<Interval> stack_;  // top = back
-  std::vector<sim::Packet> successes_;
 };
 
 }  // namespace mmn

@@ -26,13 +26,10 @@ constexpr std::uint16_t kPartial = 163;  // [partial] channel broadcast
 class GlobalStageFold final : public sim::PublicFold {
  public:
   GlobalStageFold(NodeId n, GlobalFunctionConfig config) : config_(config) {
-    // collect_successes = false: the partials are folded as they arrive.
     if (config.variant == GlobalFunctionConfig::Variant::kDeterministic) {
-      capetanakis_.emplace(n, std::nullopt, /*massey_skip=*/false,
-                           /*collect_successes=*/false);
+      capetanakis_.emplace(n);
     } else {
-      randomized_.emplace(2.0 * static_cast<double>(isqrt_ceil(n)),
-                          /*pending=*/false, /*collect_successes=*/false);
+      randomized_.emplace(2.0 * static_cast<double>(isqrt_ceil(n)));
     }
   }
 
@@ -53,9 +50,8 @@ class GlobalStageFold final : public sim::PublicFold {
       folded_ = true;
       counted_writer_ = obs.writer;
     }
-    if (!done()) return false;
-    MMN_ASSERT(folded_, "no partial results on the channel");
-    return true;
+    MMN_ASSERT(folded_ || !done(), "no partial results on the channel");
+    return done();
   }
 
   bool matches(const GlobalFunctionConfig& config) const {
@@ -65,9 +61,8 @@ class GlobalStageFold final : public sim::PublicFold {
   /// Whether pending station `self` transmits in the upcoming slot; the
   /// randomized decision draws from the station's own `rng`.
   bool transmits(NodeId self, Rng& rng) const {
-    if (!capetanakis_) return randomized_->station_transmits(rng);
-    const auto probe = capetanakis_->probe();
-    return probe && self >= probe->first && self < probe->second;
+    return capetanakis_ ? capetanakis_->station_transmits(self)
+                        : randomized_->station_transmits(rng);
   }
 
   /// Writer of the last folded slot if the resolver counted it as a

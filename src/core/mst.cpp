@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "channel/capetanakis.hpp"
 #include "core/partition_det.hpp"
 #include "support/check.hpp"
 
@@ -14,6 +15,30 @@ constexpr std::uint16_t kHello = 193;         // child -> parent census
 constexpr std::uint16_t kLocalMin = 194;      // [w, u, v, nbr_init] up-tree
 constexpr std::uint16_t kCycleReport = 195;   // [init, w, u, v, nbr_init]
 
+/// Stage 2, once per engine: the traversal scheduling the initial-fragment
+/// cores and the cores it announced, ascending (the walk is depth-first,
+/// left half first).  Its event is the schedule's completion.
+class CoreScheduleFold final : public sim::PublicFold {
+ public:
+  explicit CoreScheduleFold(NodeId n) : resolver_(n) {}
+
+  bool fold(const sim::SlotObservation& obs) override {
+    const std::uint64_t before = resolver_.success_count();
+    resolver_.observe(obs);
+    if (resolver_.success_count() != before) {
+      cores_.push_back(static_cast<NodeId>(obs.payload[0]));
+    }
+    return resolver_.done();
+  }
+
+  const CapetanakisResolver& resolver() const { return resolver_; }
+  const std::vector<NodeId>& cores() const { return cores_; }
+
+ private:
+  CapetanakisResolver resolver_;
+  std::vector<NodeId> cores_;
+};
+
 }  // namespace
 
 /// Stage 2 + 3.  Steps: 0 = Capetanakis core scheduling (observed);
@@ -25,7 +50,6 @@ class MstProcess::ComputeStage final : public SteppedProcess {
   ComputeStage(const sim::LocalView& view, const FragmentState* partition)
       : view_(view),
         partition_(partition),
-        capetanakis_(view.n, std::nullopt),
         neighbor_init_(view.links().size(), -1),
         mst_link_(view.links().size(), false) {}
 
@@ -58,10 +82,11 @@ class MstProcess::ComputeStage final : public SteppedProcess {
 
   void step_begin(std::uint64_t step, sim::NodeContext& ctx) override {
     if (step == 0) {
-      if (is_root()) {
-        contender_.emplace(view_.n,
-                           std::optional<std::uint64_t>(view_.self));
-      }
+      // Every node begins the stage in the same round, so all share one
+      // fold; only the cores contend.
+      schedule_ = &ctx.public_fold<CoreScheduleFold>(
+          [&] { return CoreScheduleFold(view_.n); });
+      pending_ = is_root();
       return;
     }
     if (step == 1) {
@@ -78,7 +103,7 @@ class MstProcess::ComputeStage final : public SteppedProcess {
 
   void step_round(std::uint64_t step, sim::NodeContext& ctx) override {
     if (step == 0) {
-      if (contender_ && !contender_->done() && contender_->should_transmit()) {
+      if (pending_ && schedule_->resolver().station_transmits(view_.self)) {
         ctx.channel_write(sim::Packet(
             kCoreAnnounce, {static_cast<sim::Word>(view_.self)}));
       }
@@ -99,7 +124,7 @@ class MstProcess::ComputeStage final : public SteppedProcess {
   void on_slot(std::uint64_t slot_step, const sim::SlotObservation& obs,
                sim::NodeContext&) override {
     if (slot_step == 0) {
-      observe_capetanakis(obs);
+      observe_schedule(obs);
       return;
     }
     if (slot_step >= 2 && (slot_step - 2) % 2 == 1) {
@@ -113,7 +138,13 @@ class MstProcess::ComputeStage final : public SteppedProcess {
   }
 
   bool observed_end(std::uint64_t step) const override {
-    return step == 0 && capetanakis_.done();
+    return step == 0 && schedule_->resolver().done();
+  }
+
+  // Only a pending core acts in stage 2; everyone else (and a core once
+  // its announcement went through) dozes until the schedule completes.
+  bool step_dormant(std::uint64_t step) const override {
+    return step == 0 && !pending_;
   }
 
   void on_message(std::uint64_t /*step*/, const sim::Received& msg,
@@ -149,23 +180,20 @@ class MstProcess::ComputeStage final : public SteppedProcess {
  private:
   bool is_root() const { return partition_->tree_parent() == view_.self; }
 
-  void observe_capetanakis(const sim::SlotObservation& obs) {
-    const bool mine = obs.success() && obs.writer == view_.self;
-    if (contender_ && !contender_->done()) contender_->observe(obs, mine);
-    if (capetanakis_.done()) return;
-    capetanakis_.observe(obs);
-    if (!capetanakis_.done()) return;
+  void observe_schedule(const sim::SlotObservation& obs) {
+    // A pending core is stepped every round, so it sees its own success.
+    if (obs.success() && obs.writer == view_.self) pending_ = false;
+    if (!schedule_->resolver().done()) return;
     // Schedule complete: the sorted core list is common knowledge.
-    for (const sim::Packet& p : capetanakis_.successes()) {
-      initial_cores_.push_back(static_cast<NodeId>(p[0]));
-    }
-    k_ = static_cast<std::int64_t>(initial_cores_.size());
+    const std::vector<NodeId>& cores = schedule_->cores();
+    k_ = static_cast<std::int64_t>(cores.size());
     MMN_ASSERT(k_ >= 1, "no initial fragments scheduled");
-    const auto it = std::find(initial_cores_.begin(), initial_cores_.end(),
-                              partition_->fragment_id());
-    MMN_ASSERT(it != initial_cores_.end(), "own fragment missing in schedule");
-    init_index_ = it - initial_cores_.begin();
-    current_ = std::make_unique<Dsu>(initial_cores_.size());
+    const auto it = std::lower_bound(cores.begin(), cores.end(),
+                                     partition_->fragment_id());
+    MMN_ASSERT(it != cores.end() && *it == partition_->fragment_id(),
+               "own fragment missing in schedule");
+    init_index_ = it - cores.begin();
+    current_ = std::make_unique<Dsu>(cores.size());
     if (k_ == 1) final_steps_ = 1;  // the partition already spans the graph
   }
 
@@ -210,7 +238,7 @@ class MstProcess::ComputeStage final : public SteppedProcess {
       std::size_t from, to;
     };
     std::vector<Chosen> chosen;
-    std::vector<std::optional<Chosen>> best(initial_cores_.size());
+    std::vector<std::optional<Chosen>> best(static_cast<std::size_t>(k_));
     for (const sim::Packet& p : cycle_reports_) {
       const Weight w = static_cast<Weight>(p[1]);
       if (w == 0) continue;  // that fragment saw no outgoing link
@@ -242,10 +270,9 @@ class MstProcess::ComputeStage final : public SteppedProcess {
   const sim::LocalView& view_;
   const FragmentState* partition_;
 
-  // Stage 2.
-  std::optional<CapetanakisResolver> contender_;  // cores only
-  CapetanakisResolver capetanakis_;               // everyone listens
-  std::vector<NodeId> initial_cores_;
+  // Stage 2: the engine's fold; pending_ = a core not yet announced.
+  const CoreScheduleFold* schedule_ = nullptr;
+  bool pending_ = false;
   std::int64_t k_ = 0;
   sim::Word init_index_ = 0;
 

@@ -7,7 +7,8 @@
 //   2. One Capetanakis resolution schedules the initial-fragment cores on
 //      the channel.  Every node decodes the same schedule, so the fragment
 //      list, its TDMA order, and the fragment count k become common
-//      knowledge.
+//      knowledge; the engine folds it once (sim::PublicFold) while every
+//      node but a pending core dozes (core/stepped.hpp).
 //   3. O(log n) Boruvka phases over *current fragments* (unions of initial
 //      fragments).  Per phase: every initial fragment converge-casts the
 //      minimum-weight link leaving its *current* fragment (purely local —
@@ -29,7 +30,6 @@
 #include <optional>
 #include <vector>
 
-#include "channel/capetanakis.hpp"
 #include "core/partition.hpp"
 #include "core/stepped.hpp"
 #include "graph/dsu.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "channel/capetanakis.hpp"
 #include "coloring/mis.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
@@ -34,6 +35,34 @@ constexpr std::uint16_t kNewFragMsg = 120;     // [core] new fragment id flood
 constexpr std::uint16_t kSizeAnnounce = 121;   // [core, size] Section 7.3
 
 }  // namespace
+
+/// Section 7.3's size check, once per engine: the traversal scheduling the
+/// cores, its slot count and the sum of the announced sizes.  Its event is
+/// the check's end, completed or out of budget.
+class PartitionDetProcess::CheckFold final : public sim::PublicFold {
+ public:
+  CheckFold(NodeId n, std::uint64_t budget) : resolver_(n), budget_(budget) {}
+
+  bool fold(const sim::SlotObservation& obs) override {
+    const std::uint64_t before = resolver_.success_count();
+    resolver_.observe(obs);
+    if (resolver_.success_count() != before) {
+      size_sum_ += static_cast<std::uint64_t>(obs.payload[1]);
+    }
+    ++slots_;
+    return ended();
+  }
+
+  const CapetanakisResolver& resolver() const { return resolver_; }
+  bool ended() const { return resolver_.done() || slots_ >= budget_; }
+  std::uint64_t size_sum() const { return size_sum_; }
+
+ private:
+  CapetanakisResolver resolver_;
+  std::uint64_t budget_;
+  std::uint64_t slots_ = 0;
+  std::uint64_t size_sum_ = 0;
+};
 
 PartitionDetProcess::PartitionDetProcess(const sim::LocalView& view,
                                          PartitionDetConfig config)
@@ -180,19 +209,19 @@ void PartitionDetProcess::step_begin(std::uint64_t step,
       begin_count(ctx);
       break;
     case Sub::kSizeCheck: {
-      check_slots_ = 0;
-      check_aborted_ = false;
       // Budget: "resolution for 2^i rounds" (Section 7.3), each of O(log id)
       // slots.  The last phase must succeed (at most 2^i fragments remain by
       // then), so it runs the traversal to completion.
       const bool last = current_phase_ + 1 == phases_;
-      check_budget_ = last ? static_cast<std::uint64_t>(-1)
-                           : (std::uint64_t{4} << current_phase_) *
-                                 static_cast<std::uint64_t>(bits_ + 3);
-      check_resolver_.emplace(view_.n,
-                              is_core() ? std::optional<std::uint64_t>(
-                                              view_.self)
-                                        : std::nullopt);
+      const std::uint64_t budget =
+          last ? static_cast<std::uint64_t>(-1)
+               : (std::uint64_t{4} << current_phase_) *
+                     static_cast<std::uint64_t>(bits_ + 3);
+      // Every node begins the check in the same round, so all share one
+      // fold; only the cores contend.
+      check_fold_ = &ctx.public_fold<CheckFold>(
+          [&] { return CheckFold(view_.n, budget); });
+      check_pending_ = is_core();
       break;
     }
     case Sub::kMwoe:
@@ -307,8 +336,8 @@ void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
 void PartitionDetProcess::step_round(std::uint64_t step,
                                      sim::NodeContext& ctx) {
   if (locate(step).sub != Sub::kSizeCheck) return;
-  if (check_aborted_ || check_resolver_->done()) return;
-  if (check_resolver_->should_transmit()) {
+  if (check_pending_ &&
+      check_fold_->resolver().station_transmits(view_.self)) {
     ctx.channel_write(sim::Packet(
         kSizeAnnounce, {static_cast<sim::Word>(view_.self),
                         static_cast<sim::Word>(subtree_size_)}));
@@ -319,25 +348,24 @@ void PartitionDetProcess::on_slot(std::uint64_t slot_step,
                                   const sim::SlotObservation& obs,
                                   sim::NodeContext&) {
   if (locate(slot_step).sub != Sub::kSizeCheck) return;
-  if (check_aborted_ || check_resolver_->done()) return;
-  check_resolver_->observe(obs, obs.success() && obs.writer == view_.self);
-  ++check_slots_;
-  if (check_resolver_->done()) {
-    // Every core's (id, size) was heard by every node: sum to the exact n.
-    std::uint64_t total = 0;
-    for (const sim::Packet& p : check_resolver_->successes()) {
-      total += static_cast<std::uint64_t>(p[1]);
-    }
-    computed_size_ = total;
+  // A pending core is stepped every round, so it sees its own success.
+  if (obs.success() && obs.writer == view_.self) check_pending_ = false;
+  if (check_fold_->resolver().done()) {
+    // Every core's (id, size) was heard by every node: the exact n.
+    computed_size_ = check_fold_->size_sum();
     final_steps_ = slot_step + 1;
-  } else if (check_slots_ >= check_budget_) {
-    check_aborted_ = true;  // too many fragments; keep partitioning
   }
 }
 
+// Out of budget means too many fragments: keep partitioning.
 bool PartitionDetProcess::observed_end(std::uint64_t step) const {
   MMN_ASSERT(locate(step).sub == Sub::kSizeCheck, "unexpected observed step");
-  return check_aborted_ || check_resolver_->done();
+  return check_fold_->ended();
+}
+
+// Only a pending core acts in the check; everyone else dozes until its end.
+bool PartitionDetProcess::step_dormant(std::uint64_t) const {
+  return !check_pending_;
 }
 
 // --- COUNT -------------------------------------------------------------------

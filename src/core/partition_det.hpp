@@ -49,7 +49,6 @@
 #include <optional>
 #include <vector>
 
-#include "channel/capetanakis.hpp"
 #include "coloring/cole_vishkin.hpp"
 #include "core/partition.hpp"
 #include "core/stepped.hpp"
@@ -80,13 +79,6 @@ class PartitionDetProcess final : public SteppedProcess, public FragmentState {
   EdgeId tree_parent_edge() const override { return parent_edge_; }
   NodeId fragment_id() const override { return core_; }
 
-  /// Level (floor log2 of size) of this node's fragment at the last count.
-  int level() const { return level_; }
-
-  /// Routing pointer toward the fragment's chosen outgoing edge; used by the
-  /// MST stage-3 algorithm to reuse the partition's tree operations.
-  int phases() const { return phases_; }
-
   /// The network size computed by the Section 7.3 size check; valid once
   /// finished with with_size_check set.
   std::uint64_t computed_size() const;
@@ -101,8 +93,11 @@ class PartitionDetProcess final : public SteppedProcess, public FragmentState {
   void on_slot(std::uint64_t slot_step, const sim::SlotObservation& obs,
                sim::NodeContext& ctx) override;
   bool observed_end(std::uint64_t step) const override;
+  bool step_dormant(std::uint64_t step) const override;
 
  private:
+  class CheckFold;
+
   // Sub-steps of one phase, in execution order.  kShift/kDrop repeat for the
   // dropped colors 5, 4, 3; kCv repeats tcv_ times.
   enum class Sub : int {
@@ -208,11 +203,9 @@ class PartitionDetProcess final : public SteppedProcess, public FragmentState {
   // Merge
   bool red_internal_ = false;
 
-  // Section 7.3 size check.
-  std::optional<CapetanakisResolver> check_resolver_;
-  std::uint64_t check_budget_ = 0;
-  std::uint64_t check_slots_ = 0;
-  bool check_aborted_ = false;
+  // Section 7.3 size check: the engine's fold; pending = a core not yet heard.
+  const CheckFold* check_fold_ = nullptr;
+  bool check_pending_ = false;
   std::uint64_t computed_size_ = 0;
   std::optional<std::uint64_t> final_steps_;
 };

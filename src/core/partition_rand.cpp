@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "channel/pseudo_bayesian.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
 
@@ -232,58 +233,79 @@ void PartitionRandProcess::on_message(std::uint64_t /*step*/,
 
 // --- Las Vegas wrapper -----------------------------------------------------------
 
+/// The verifier, once per engine: the scheduler over the tree roots, its slot
+/// count and both budgets.  Its event is the verdict, accept or restart.
+class LasVegasPartitionProcess::VerifyFold final : public sim::PublicFold {
+ public:
+  explicit VerifyFold(NodeId n)
+      : max_roots_(2 * isqrt_ceil(n)),
+        slot_budget_(16 * isqrt_ceil(n) + 64),
+        scheduler_(static_cast<double>(max_roots_)) {}
+
+  bool fold(const sim::SlotObservation& obs) override {
+    const std::uint64_t before = scheduler_.success_count();
+    scheduler_.observe(obs);
+    counted_writer_ = scheduler_.success_count() != before ? obs.writer
+                                                           : kNoNode;
+    ++slots_;
+    return ended();
+  }
+
+  const RandomizedScheduler& scheduler() const { return scheduler_; }
+  /// Writer of the last folded slot if it was a counted success.
+  NodeId counted_writer() const { return counted_writer_; }
+  bool ended() const {
+    return scheduler_.done() || too_many() || slots_ > slot_budget_;
+  }
+  bool accepted() const { return scheduler_.done() && !too_many(); }
+
+ private:
+  bool too_many() const { return scheduler_.success_count() > max_roots_; }
+
+  std::uint64_t max_roots_;
+  std::uint64_t slot_budget_;
+  RandomizedScheduler scheduler_;
+  std::uint64_t slots_ = 0;
+  NodeId counted_writer_ = kNoNode;
+};
+
 LasVegasPartitionProcess::LasVegasPartitionProcess(const sim::LocalView& view,
                                                    PartitionRandConfig config)
-    : view_(view), config_(config) {
-  max_roots_ = 2 * isqrt_ceil(view.n);
-  slot_budget_ = 16 * isqrt_ceil(view.n) + 64;
-  start_attempt();
-}
-
-void LasVegasPartitionProcess::start_attempt() {
-  inner_ = std::make_unique<PartitionRandProcess>(view_, config_);
-  verifier_.reset();
-  verifying_ = false;
-  verify_started_ = false;
-  verify_slots_ = 0;
-}
+    : view_(view),
+      config_(config),
+      inner_(std::make_unique<PartitionRandProcess>(view, config)) {}
 
 void LasVegasPartitionProcess::round(sim::NodeContext& ctx) {
   if (accepted_) return;
-  if (!verifying_) {
+  if (!inner_->finished()) {
     inner_->round(ctx);
-    if (inner_->finished()) {
-      verifying_ = true;
-      verifier_ = std::make_unique<RandomizedScheduler>(
-          static_cast<double>(max_roots_),
-          inner_->tree_parent() == view_.self,
-          /*collect_successes=*/false);  // only the count is compared
-    }
     return;
   }
 
   // Verification: schedule the roots with the randomized protocol.  All
   // decisions below depend only on shared observations, so every node
   // accepts or restarts in the same round.
-  if (verify_started_) {
-    const auto& obs = ctx.slot();
-    verifier_->observe(obs, obs.success() && obs.writer == view_.self);
-    ++verify_slots_;
-    const bool too_many = verifier_->success_count() > max_roots_;
-    const bool over_budget = verify_slots_ > slot_budget_;
-    if (verifier_->done() || too_many || over_budget) {
-      if (verifier_->done() && !too_many) {
+  if (verifier_ == nullptr) {
+    // The first decision: every node takes the round's fold, which folds
+    // this round's slot first.
+    verifier_ =
+        &ctx.public_fold<VerifyFold>([&] { return VerifyFold(view_.n); });
+    pending_ = inner_->tree_parent() == view_.self;
+  } else {
+    if (pending_ && verifier_->counted_writer() == view_.self) pending_ = false;
+    if (verifier_->ended()) {
+      if (verifier_->accepted()) {
         accepted_ = true;
       } else {
         ++attempts_;
-        start_attempt();
+        inner_ = std::make_unique<PartitionRandProcess>(view_, config_);
+        verifier_ = nullptr;
         inner_->round(ctx);
       }
       return;
     }
   }
-  verify_started_ = true;
-  if (verifier_->should_transmit(ctx.rng())) {
+  if (pending_ && verifier_->scheduler().station_transmits(ctx.rng())) {
     ctx.channel_write(
         sim::Packet(kVerify, {static_cast<sim::Word>(view_.self)}));
   }

@@ -23,14 +23,13 @@
 // verification step: try to schedule the tree roots on the channel with the
 // randomized resolution protocol; accept if at most 2*sqrt(n) roots schedule
 // within the slot budget, restart the partition otherwise (Section 4,
-// Remark).
+// Remark).  The engine folds the verifier once per slot (sim::PublicFold).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "channel/pseudo_bayesian.hpp"
 #include "core/partition.hpp"
 #include "core/stepped.hpp"
 
@@ -65,8 +64,6 @@ class PartitionRandProcess final : public SteppedProcess,
   NodeId fragment_id() const override {
     return static_cast<NodeId>(root_ & 0x7FFFFFFF);
   }
-
-  int iterations() const { return iterations_; }
 
  protected:
   std::uint64_t num_steps() const override;
@@ -151,17 +148,13 @@ class LasVegasPartitionProcess final : public sim::Process,
   int attempts() const { return attempts_; }
 
  private:
-  void start_attempt();
+  class VerifyFold;
 
   const sim::LocalView& view_;
   PartitionRandConfig config_;
   std::unique_ptr<PartitionRandProcess> inner_;
-  std::unique_ptr<RandomizedScheduler> verifier_;
-  std::uint64_t verify_slots_ = 0;
-  std::uint64_t slot_budget_ = 0;
-  std::uint64_t max_roots_ = 0;
-  bool verifying_ = false;
-  bool verify_started_ = false;
+  const VerifyFold* verifier_ = nullptr;  ///< the engine's; null until used
+  bool pending_ = false;  ///< a root not yet scheduled by the verifier
   bool accepted_ = false;
   int attempts_ = 1;
 };

@@ -53,6 +53,11 @@
 // the engine to let such a node doze (NodeContext::doze) — skipped until a
 // message arrives or a fold's event fires; an idle slot does not wake it.
 // The audit in tests/test_active_set.cpp covers dozed rounds as well.
+// Three stages doze, each node keeping a pending bit and a pointer to the
+// fold: the global stage (core/global_function.cpp), the Section 7.3 size
+// check (core/partition_det.cpp) and MST stage 2 (core/mst.cpp).  A node
+// that crashes inside one and recovers before it ends reads the current
+// public state; registered fault plans kill links only, so none does.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +80,6 @@ class SteppedProcess : public sim::Process {
  public:
   void round(sim::NodeContext& ctx) final;
   bool finished() const final { return finished_; }
-
-  /// The step currently executing (for tests and debugging).
-  std::uint64_t current_step() const { return step_; }
 
  protected:
   /// Reserved packet type for barrier busy tones.

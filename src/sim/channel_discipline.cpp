@@ -110,7 +110,7 @@ SlotObservation CapetanakisDiscipline::slot(std::span<const ChannelWrite> writes
   if (!resolver_ && !waiting_.empty()) {
     epoch_ = std::move(waiting_);
     waiting_.clear();
-    resolver_.emplace(n_, std::nullopt);  // listener copy of the traversal
+    resolver_.emplace(n_);
   }
   if (!resolver_) {
     return channel.resolve(metrics);  // no pending work: the slot idles

@@ -14,7 +14,8 @@
 //    have skipped: no RNG draw, no send, no channel write; the digest,
 //    Metrics and FaultStats must equal the active-set run's;
 //  * the cut — global/min/rand/ring at n = 4096, seed 7, makes an exact,
-//    pinned number of handler calls, at most 2% of n × rounds;
+//    pinned number of handler calls, at most 2% of n × rounds, and so does
+//    size/det/random at n = 4096, seed 7, at most 20%;
 //  * the wake rules on toy processes: a message wakes its destination (also
 //    across ranks), an idle slot wakes every sleeper but no dozer, a fold's
 //    event wakes every dozer, and a sleeper that crashes and is sent a
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -183,7 +185,7 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
                         {"2 ranks", {.ranks = 2}}};
   for (const Mode& mode : modes) {
     std::uint64_t audited_sleeps = 0;
-    std::uint64_t audited_dozes = 0;
+    std::set<std::string> dozed;  // scenarios with an audited dozed round
     for (const scenario::Scenario& s : scenario::Registry::instance().all()) {
       if (s.recovery() && mode.config.ranks > 1) continue;  // not shardable
       const NodeId n = s.sweep_n.front();
@@ -199,7 +201,7 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
         continue;
       }
       audited_sleeps += g_audited_sleeps.load() - sleeps_before;
-      audited_dozes += g_audited_dozes.load() - dozes_before;
+      if (g_audited_dozes.load() != dozes_before) dozed.insert(s.name);
       EXPECT_TRUE(active.metrics == dense.metrics)
           << s.name << " (" << mode.name << "): metrics diverged\n"
           << "active set: " << active.metrics.to_string() << "\n"
@@ -210,39 +212,58 @@ TEST(ActiveSet, SleepingNodesSteppedAnywayActNotAndChangeNothing) {
           << s.name << " (" << mode.name << "): fault stats diverged";
       EXPECT_EQ(active.completed, dense.completed) << s.name;
     }
-    // The audit is vacuous unless some node actually slept and dozed.
+    // The audit is vacuous unless some node actually slept, and dozed in
+    // each stage that folds its channel state once per engine: the global
+    // stage, the Section 7.3 size check and MST stage 2.
     EXPECT_GT(audited_sleeps, 0u) << mode.name;
-    EXPECT_GT(audited_dozes, 0u) << mode.name;
+    for (const char* name :
+         {"global/min/rand/ring", "size/det/random", "mst/random"}) {
+      EXPECT_EQ(dozed.count(name), 1u) << name << " (" << mode.name << ")";
+    }
+  }
+}
+
+/// Runs `name` at n, seed with handler calls counted, serial and 4 threads:
+/// both runs must reproduce the plain run and make exactly `pinned` calls
+/// (the set of resting nodes is the same under any scheduler, so the count
+/// is too), at most 1 / `share` of the n x rounds calls stepping every node
+/// would make.
+void expect_calls(const char* name, NodeId n, std::uint64_t seed,
+                  std::uint64_t pinned, std::uint64_t share) {
+  scenario::register_builtin();
+  const scenario::Scenario* s = scenario::Registry::instance().find(name);
+  ASSERT_NE(s, nullptr) << name;
+  const scenario::RunResult plain = scenario::run(*s, n, seed);
+  for (unsigned threads : {1u, 4u}) {
+    std::atomic<std::uint64_t> calls{0};
+    const scenario::RunResult r =
+        scenario::run(counted(*s, calls), n, seed, {.threads = threads});
+    ASSERT_TRUE(r.completed) << name;
+    EXPECT_EQ(r.digest, plain.digest) << name;
+    EXPECT_TRUE(r.metrics == plain.metrics) << name;
+    const std::uint64_t node_rounds = std::uint64_t{n} * r.metrics.rounds;
+    EXPECT_EQ(calls.load(), pinned)
+        << name << ": of " << node_rounds << " node-rounds, " << threads
+        << " thread(s)";
+    EXPECT_LE(calls.load() * share, node_rounds)
+        << name << ": " << calls.load() << " handler calls for "
+        << node_rounds << " node-rounds";
   }
 }
 
 TEST(ActiveSet, RingHandlerCallsArePinnedAndCut) {
-  scenario::register_builtin();
-  const scenario::Scenario* s =
-      scenario::Registry::instance().find("global/min/rand/ring");
-  ASSERT_NE(s, nullptr);
-  constexpr NodeId kN = 4096;
-  constexpr std::uint64_t kSeed = 7;
-  const scenario::RunResult plain = scenario::run(*s, kN, kSeed);
-  // Stepping every node would make n x rounds calls; the set of resting
-  // nodes is the same under any scheduler, so the count is too.  Barrier
-  // sleep alone made 1,641,974 calls; dozing through the global stage,
-  // whose public state the engine folds once, leaves the roots' calls.
-  for (unsigned threads : {1u, 4u}) {
-    std::atomic<std::uint64_t> calls{0};
-    const scenario::RunResult r =
-        scenario::run(counted(*s, calls), kN, kSeed, {.threads = threads});
-    ASSERT_TRUE(r.completed);
-    EXPECT_EQ(r.digest, plain.digest);
-    EXPECT_TRUE(r.metrics == plain.metrics);
-    const std::uint64_t node_rounds = std::uint64_t{kN} * r.metrics.rounds;
-    EXPECT_EQ(calls.load(), 134034u)
-        << "of " << node_rounds << " node-rounds, " << threads
-        << " thread(s)";
-    EXPECT_LE(calls.load() * 50, node_rounds)
-        << calls.load() << " handler calls for " << node_rounds
-        << " node-rounds";
-  }
+  // Barrier sleep alone made 1,641,974 calls; dozing through the global
+  // stage, whose public state the engine folds once, leaves the roots'
+  // calls.
+  expect_calls("global/min/rand/ring", 4096, 7, 134034, 50);
+}
+
+TEST(ActiveSet, SizeCheckHandlerCallsArePinnedAndCut) {
+  // With one Capetanakis copy per node, the Section 7.3 size checks alone
+  // made about 4.84M of the run's 5.47M calls; dozing through them, with
+  // the traversal folded once per engine, leaves the cores' calls and the
+  // partition's barrier steps.
+  expect_calls("size/det/random", 4096, 7, 1251237, 5);
 }
 
 // --- Wake rules on a toy process ------------------------------------------

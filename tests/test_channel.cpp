@@ -3,9 +3,11 @@
 // the Greenberg–Ladner size estimator.
 //
 // Protocols are driven against a real Channel: each slot, every station
-// decides via should_transmit, the slot resolves, and every station (plus a
-// passive listener) observes the same outcome.  This is exactly how the
-// engine drives them inside processes.
+// decides, the slot resolves, and every station observes the same outcome.
+// The two resolvers are listeners: a pending station decides through the
+// one listener copy (Capetanakis probe membership, or the pseudo-Bayesian
+// draw from the station's own RNG) and keeps only its pending bit, exactly
+// as the engine's public folds drive them inside processes.
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -50,41 +52,37 @@ struct CapetanakisRun {
 CapetanakisRun run_capetanakis(std::uint64_t n,
                                const std::vector<std::uint64_t>& ids,
                                bool massey_skip = false) {
-  std::vector<CapetanakisResolver> stations;
-  stations.reserve(ids.size());
-  for (std::uint64_t id : ids) stations.emplace_back(n, id, massey_skip);
-  CapetanakisResolver listener(n, std::nullopt, massey_skip);
+  CapetanakisResolver listener(n, massey_skip);
+  std::vector<bool> pending(ids.size(), true);
 
   Channel channel;
   Metrics metrics;
   CapetanakisRun run;
   while (!listener.done()) {
-    std::vector<std::size_t> writers;
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      if (stations[s].should_transmit()) {
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      if (pending[s] && listener.station_transmits(ids[s])) {
         channel.write(static_cast<NodeId>(ids[s]),
                       Packet(1, {static_cast<sim::Word>(ids[s])}));
-        writers.push_back(s);
       }
     }
-    EXPECT_FALSE(listener.should_transmit());
     const SlotObservation obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      stations[s].observe(obs, obs.success() &&
-                                   obs.writer == static_cast<NodeId>(ids[s]));
-    }
+    const std::uint64_t before = listener.success_count();
     listener.observe(obs);
-    if (obs.success()) run.schedule.push_back(obs.payload[0]);
+    if (obs.success()) {
+      run.schedule.push_back(obs.payload[0]);
+      for (std::size_t s = 0; s < ids.size(); ++s) {
+        if (obs.writer == static_cast<NodeId>(ids[s])) pending[s] = false;
+      }
+    }
+    if (listener.success_count() != before) {
+      run.listener_view.push_back(obs.payload[0]);
+    }
     ++run.slots;
   }
   run.listener_done_slot = run.slots;
-  for (const Packet& p : listener.successes()) {
-    run.listener_view.push_back(p[0]);
-  }
-  // Contenders must agree they are done exactly when the listener is.
-  for (const auto& s : stations) {
-    EXPECT_TRUE(s.done());
-    EXPECT_TRUE(s.succeeded());
+  // Every station went through by the time the listener is done.
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    EXPECT_FALSE(pending[s]) << "id " << ids[s];
   }
   return run;
 }
@@ -154,31 +152,27 @@ TEST(Capetanakis, MasseySkipSavesOnSkewedPopulations) {
   EXPECT_LT(skip.slots, plain.slots);
 }
 
-TEST(Capetanakis, RejectsIdOutsideSpace) {
-  EXPECT_THROW(CapetanakisResolver(8, 8), std::invalid_argument);
-  EXPECT_NO_THROW(CapetanakisResolver(8, 7));
-}
-
 TEST(Capetanakis, DuplicateStationIdsAbort) {
-  // Two stations sharing an id collide forever inside a singleton interval;
+  // Two stations sharing id 1 collide forever inside a singleton interval;
   // the resolver detects the model violation and aborts.
-  CapetanakisResolver a(2, 1), b(2, 1);
+  CapetanakisResolver resolver(2);
   sim::Channel channel;
   Metrics metrics;
   auto drive = [&] {
     for (int i = 0; i < 10; ++i) {
-      if (a.should_transmit()) channel.write(0, sim::Packet(1));
-      if (b.should_transmit()) channel.write(1, sim::Packet(1));
-      const auto obs = channel.resolve(metrics);
-      a.observe(obs);
-      b.observe(obs);
+      for (NodeId writer : {0u, 1u}) {
+        if (resolver.station_transmits(1)) {
+          channel.write(writer, sim::Packet(1));
+        }
+      }
+      resolver.observe(channel.resolve(metrics));
     }
   };
   EXPECT_DEATH(drive(), "duplicate station ids");
 }
 
 TEST(Capetanakis, ObserveAfterDoneThrows) {
-  CapetanakisResolver r(4, std::nullopt);
+  CapetanakisResolver r(4);
   SlotObservation idle;
   r.observe(idle);
   EXPECT_TRUE(r.done());
@@ -258,30 +252,30 @@ struct SchedulerRun {
 SchedulerRun run_randomized(std::size_t k, double initial_backlog,
                             std::uint64_t seed) {
   Rng root(seed);
-  std::vector<RandomizedScheduler> stations;
   std::vector<Rng> rngs;
-  for (std::size_t s = 0; s < k; ++s) {
-    stations.emplace_back(initial_backlog, true);
-    rngs.push_back(root.fork(s));
-  }
-  RandomizedScheduler listener(initial_backlog, false);
-  Rng listener_rng = root.fork(k + 1);
+  for (std::size_t s = 0; s < k; ++s) rngs.push_back(root.fork(s));
+  std::vector<bool> pending(k, true);
+  RandomizedScheduler listener(initial_backlog);
 
   Channel channel;
   Metrics metrics;
   SchedulerRun run;
   while (!listener.done()) {
     for (std::size_t s = 0; s < k; ++s) {
-      if (stations[s].should_transmit(rngs[s])) {
+      if (pending[s] && listener.station_transmits(rngs[s])) {
         channel.write(static_cast<NodeId>(s), Packet(1, {static_cast<sim::Word>(s)}));
       }
     }
-    EXPECT_FALSE(listener.should_transmit(listener_rng));
     const SlotObservation obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < k; ++s) {
-      stations[s].observe(obs, obs.success() && obs.writer == s);
-    }
+    const std::uint64_t before = listener.success_count();
     listener.observe(obs);
+    // Only a counted success schedules its writer: a busy-tone slot's lone
+    // writer stays pending.
+    if (listener.success_count() != before) {
+      EXPECT_TRUE(pending[obs.writer]) << "station " << obs.writer;
+      pending[obs.writer] = false;
+      ++run.scheduled;
+    }
     ++run.slots;
     if (run.slots >= 1000u + 100u * k) {
       ADD_FAILURE() << "scheduler not converging after " << run.slots
@@ -289,11 +283,7 @@ SchedulerRun run_randomized(std::size_t k, double initial_backlog,
       break;
     }
   }
-  run.scheduled = listener.successes().size();
-  for (auto& st : stations) {
-    EXPECT_TRUE(st.succeeded());
-    EXPECT_TRUE(st.done());
-  }
+  for (std::size_t s = 0; s < k; ++s) EXPECT_FALSE(pending[s]) << s;
   return run;
 }
 
@@ -329,79 +319,6 @@ TEST(RandomizedScheduler, RobustToBadInitialEstimate) {
   // Pessimistic and optimistic initial backlogs must still converge.
   EXPECT_EQ(run_randomized(20, 1.0, 7).scheduled, 20u);
   EXPECT_EQ(run_randomized(3, 500.0, 8).scheduled, 3u);
-}
-
-TEST(RandomizedScheduler, ListenerDecidesForAPendingStationDrawForDraw) {
-  // One pending station and a listener over the same seeded slot history:
-  // station_transmits on the listener, with a twin of the station's RNG,
-  // must make every should_transmit decision and leave both streams equal
-  // after every slot — this is what lets a node defer to one shared fold.
-  Rng history(17);
-  RandomizedScheduler station(6.0, /*pending=*/true);
-  RandomizedScheduler listener(6.0, /*pending=*/false);
-  Rng own(99);
-  Rng twin(99);
-  std::uint64_t slots = 0;
-  while (!station.succeeded()) {
-    ASSERT_LT(slots, 10'000u) << "station never succeeded";
-    const bool decided = station.should_transmit(own);
-    EXPECT_EQ(listener.station_transmits(twin), decided) << "slot " << slots;
-    EXPECT_TRUE(own == twin) << "draws diverged in slot " << slots;
-    // Other stations: idle, success or collision at random; the station's
-    // own write collides with anyone else's.
-    const auto others = history.next_below(3);
-    SlotObservation obs;
-    if (decided) {
-      obs.state = others == 0 ? sim::SlotState::kSuccess
-                              : sim::SlotState::kCollision;
-      obs.writer = 0;
-    } else if (others == 1) {
-      obs.state = sim::SlotState::kSuccess;
-      obs.writer = 1;
-    } else if (others == 2) {
-      obs.state = sim::SlotState::kCollision;
-    }
-    station.observe(obs, obs.success() && obs.writer == 0);
-    listener.observe(obs);
-    ++slots;
-  }
-  EXPECT_GT(slots, 4u);
-  EXPECT_FALSE(listener.done());
-}
-
-TEST(Capetanakis, ProbeMembershipIsShouldTransmit) {
-  // A listener's probe interval, tested for a station's id, is the
-  // station's own should_transmit over a whole traversal.
-  const std::uint64_t n = 256;
-  const auto ids = pick_ids(n, 12, 31);
-  std::vector<CapetanakisResolver> stations;
-  for (std::uint64_t id : ids) stations.emplace_back(n, id);
-  CapetanakisResolver listener(n, std::nullopt);
-  Channel channel;
-  Metrics metrics;
-  std::vector<bool> pending(ids.size(), true);
-  while (!listener.done()) {
-    const auto probe = listener.probe();
-    ASSERT_TRUE(probe.has_value());
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const bool in_probe = pending[s] && ids[s] >= probe->first &&
-                            ids[s] < probe->second;
-      EXPECT_EQ(in_probe, stations[s].should_transmit()) << "id " << ids[s];
-      if (in_probe) {
-        channel.write(static_cast<NodeId>(ids[s]),
-                      Packet(1, {static_cast<sim::Word>(ids[s])}));
-      }
-    }
-    const SlotObservation obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const bool mine =
-          obs.success() && obs.writer == static_cast<NodeId>(ids[s]);
-      stations[s].observe(obs, mine);
-      if (mine) pending[s] = false;
-    }
-    listener.observe(obs);
-  }
-  EXPECT_EQ(listener.success_count(), ids.size());
 }
 
 // --- TDMA ----------------------------------------------------------------

@@ -182,7 +182,7 @@ TEST(ChannelDiscipline, CapetanakisBatchesMidEpochArrivalsIntoNextEpoch) {
 }
 
 TEST(ChannelDiscipline, ProbeExposesTheTraversalInterval) {
-  CapetanakisResolver resolver(8, std::nullopt);
+  CapetanakisResolver resolver(8);
   ASSERT_TRUE(resolver.probe().has_value());
   EXPECT_EQ(*resolver.probe(), std::make_pair(std::uint64_t{0},
                                               std::uint64_t{8}));

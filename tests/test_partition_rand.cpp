@@ -15,6 +15,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/validation.hpp"
+#include "sim/scheduler.hpp"
 #include "support/math.hpp"
 
 namespace mmn {
@@ -26,18 +27,20 @@ struct RunResult {
   ForestStats stats;
   Metrics metrics;
   int attempts = 1;
+  bool accepted = false;  ///< every node finished (Las Vegas: certified)
 };
 
-RunResult run_rand(const Graph& g, std::uint64_t seed, bool las_vegas = false) {
-  const PartitionRandConfig config;
+RunResult run_rand(const Graph& g, std::uint64_t seed, bool las_vegas = false,
+                   unsigned threads = 1, PartitionRandConfig config = {}) {
   sim::Engine engine(g, [&](const sim::LocalView& v) -> std::unique_ptr<sim::Process> {
     if (las_vegas) {
       return std::make_unique<LasVegasPartitionProcess>(v, config);
     }
     return std::make_unique<PartitionRandProcess>(v, config);
-  }, seed);
+  }, seed, sim::make_scheduler(threads));
   RunResult r;
   r.metrics = engine.run(4'000'000);
+  r.accepted = engine.status() == sim::RunStatus::kCompleted;
   const FragmentAccessor acc = direct_fragment_accessor();
   r.forest = collect_forest(engine, acc);
   r.fragment = collect_fragments(engine, acc);
@@ -139,6 +142,47 @@ TEST(PartitionRand, LasVegasCertifiesTreeCount) {
     EXPECT_LE(r.stats.max_radius, 4 * isqrt_ceil(200));
     EXPECT_GE(r.attempts, 1);
     EXPECT_LE(r.attempts, 4) << "restart probability should be small";
+  }
+}
+
+TEST(PartitionRand, LasVegasIdenticalAcrossThreads) {
+  // Shard workers take the verifier's public fold concurrently in the round
+  // of the first decision; the run must not depend on the thread count.
+  // The Metrics pins hold the fold to its first slot: the one the first
+  // decision writes into, not the partition's last.  The tight ring
+  // (growth radius and freeze threshold of one sqrt(n)) grows too many
+  // trees once, so the restart path runs too.
+  struct Case {
+    Graph g;
+    std::uint64_t seed;
+    PartitionRandConfig config;
+    int attempts;
+    Metrics metrics;
+  };
+  const Case cases[] = {
+      {random_connected(200, 300, 1), 1, {}, 1,
+       {.rounds = 103, .p2p_messages = 3130, .slots_idle = 31,
+        .slots_success = 18, .slots_collision = 54}},
+      {random_connected(200, 300, 5), 5, {}, 1,
+       {.rounds = 109, .p2p_messages = 3136, .slots_idle = 34,
+        .slots_success = 12, .slots_collision = 63}},
+      {ring(100, 1), 1, {.radius_factor = 1, .freeze_factor = 1}, 2,
+       {.rounds = 367, .p2p_messages = 1680, .slots_idle = 57,
+        .slots_success = 43, .slots_collision = 267}}};
+  for (const Case& c : cases) {
+    const RunResult serial = run_rand(c.g, c.seed, true, 1, c.config);
+    const RunResult threaded = run_rand(c.g, c.seed, true, 4, c.config);
+    EXPECT_TRUE(serial.accepted) << "seed " << c.seed;
+    EXPECT_EQ(serial.attempts, c.attempts) << "seed " << c.seed;
+    EXPECT_TRUE(serial.metrics == c.metrics)
+        << "seed " << c.seed << ": " << serial.metrics.to_string();
+    EXPECT_EQ(threaded.accepted, serial.accepted) << "seed " << c.seed;
+    EXPECT_EQ(threaded.attempts, serial.attempts) << "seed " << c.seed;
+    EXPECT_EQ(threaded.forest.parent, serial.forest.parent)
+        << "seed " << c.seed;
+    EXPECT_TRUE(threaded.metrics == serial.metrics)
+        << "seed " << c.seed << "\nserial:   " << serial.metrics.to_string()
+        << "\nthreaded: " << threaded.metrics.to_string();
   }
 }
 

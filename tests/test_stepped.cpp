@@ -125,19 +125,14 @@ TEST(Stepped, FixedStepRunsTdmaAndDeliversLastSlot) {
 }
 
 /// One observed step: Capetanakis resolution of all nodes with even ids.
+/// Each node folds the slots into its own listener and, while pending,
+/// transmits when the listener's probe holds its id.
 class ObservedStepProcess final : public SteppedProcess {
  public:
   explicit ObservedStepProcess(const sim::LocalView& view)
-      : view_(view),
-        resolver_(view.n, view.self % 2 == 0
-                              ? std::optional<std::uint64_t>(view.self)
-                              : std::nullopt) {}
+      : view_(view), resolver_(view.n), pending_(view.self % 2 == 0) {}
 
-  std::vector<sim::Word> schedule() const {
-    std::vector<sim::Word> out;
-    for (const auto& p : resolver_.successes()) out.push_back(p[0]);
-    return out;
-  }
+  std::vector<sim::Word> schedule_;
 
  protected:
   std::uint64_t num_steps() const override { return 1; }
@@ -149,16 +144,19 @@ class ObservedStepProcess final : public SteppedProcess {
                   sim::NodeContext&) override {}
 
   void step_round(std::uint64_t, sim::NodeContext& ctx) override {
-    if (!resolver_.done() && resolver_.should_transmit()) {
+    if (pending_ && resolver_.station_transmits(view_.self)) {
       ctx.channel_write(sim::Packet(9, {static_cast<sim::Word>(view_.self)}));
     }
   }
 
   void on_slot(std::uint64_t, const sim::SlotObservation& obs,
                sim::NodeContext&) override {
-    if (!resolver_.done()) {
-      resolver_.observe(obs, obs.success() && obs.writer == view_.self);
-    }
+    if (resolver_.done()) return;
+    const std::uint64_t before = resolver_.success_count();
+    resolver_.observe(obs);
+    if (resolver_.success_count() == before) return;
+    schedule_.push_back(obs.payload[0]);
+    if (obs.writer == view_.self) pending_ = false;
   }
 
   bool observed_end(std::uint64_t) const override { return resolver_.done(); }
@@ -166,6 +164,7 @@ class ObservedStepProcess final : public SteppedProcess {
  private:
   const sim::LocalView& view_;
   CapetanakisResolver resolver_;
+  bool pending_;
 };
 
 TEST(Stepped, ObservedStepEndsOnSharedVerdict) {
@@ -177,7 +176,7 @@ TEST(Stepped, ObservedStepEndsOnSharedVerdict) {
   const std::vector<sim::Word> expected{0, 2, 4, 6};
   for (NodeId v = 0; v < 8; ++v) {
     EXPECT_EQ(static_cast<const ObservedStepProcess&>(engine.process(v))
-                  .schedule(),
+                  .schedule_,
               expected);
   }
 }
