@@ -82,47 +82,35 @@ double randomized_slots(std::size_t k, std::uint64_t seed) {
 
 double randomized_election_slots(std::size_t k, std::uint64_t seed) {
   Rng root(seed);
-  std::vector<RandomizedElection> stations;
   std::vector<Rng> rngs;
-  for (std::size_t s = 0; s < k; ++s) {
-    stations.emplace_back(true);
-    rngs.push_back(root.fork(s));
-  }
+  for (std::size_t s = 0; s < k; ++s) rngs.push_back(root.fork(s));
+  RandomizedElection listener;
   sim::Channel channel;
   Metrics metrics;
-  std::uint64_t slots = 0;
-  while (!stations[0].done()) {
+  while (!listener.done()) {
     for (std::size_t s = 0; s < k; ++s) {
-      if (stations[s].should_transmit(rngs[s])) {
+      if (listener.station_transmits(rngs[s])) {
         channel.write(static_cast<NodeId>(s),
                       sim::Packet(1, {static_cast<sim::Word>(s)}));
       }
     }
-    const auto obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < k; ++s) {
-      stations[s].observe(obs, obs.success() && obs.writer == s);
-    }
-    ++slots;
+    listener.observe(channel.resolve(metrics));
   }
-  return static_cast<double>(slots);
+  return static_cast<double>(listener.slots());
 }
 
 int election_rounds(std::uint64_t n, const std::vector<std::uint64_t>& ids) {
-  std::vector<ChannelElection> stations;
-  for (std::uint64_t id : ids) stations.emplace_back(n, id);
-  ChannelElection listener(n, ChannelElection::kNoCandidate);
+  ChannelElection listener(n);
   sim::Channel channel;
   Metrics metrics;
   int rounds = 0;
   while (!listener.done()) {
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      if (stations[s].should_transmit()) {
-        channel.write(static_cast<NodeId>(ids[s]), sim::Packet(1));
+    for (std::uint64_t id : ids) {
+      if (listener.station_transmits(id)) {
+        channel.write(static_cast<NodeId>(id), sim::Packet(1));
       }
     }
-    const auto obs = channel.resolve(metrics);
-    for (auto& st : stations) st.observe(obs);
-    listener.observe(obs);
+    listener.observe(channel.resolve(metrics));
     ++rounds;
   }
   return rounds;

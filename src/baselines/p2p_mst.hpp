@@ -10,24 +10,28 @@
 // controlled, and a Boruvka fragment can be a Theta(n)-deep chain.  With
 // ceil(log2 n) phases the total is Theta(n log n) time, the classic GHS
 // bound the multimedia algorithm's O(sqrt(n) log n) is measured against.
+//
+// The fragment moves are GhsFragment's (core/ghs_fragment.hpp), as in the
+// deterministic partition; this baseline keeps only its fixed-length phase
+// schedule and its merge policy: every fragment with an MWOE that does not
+// root F attaches.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/ghs_fragment.hpp"
 #include "core/stepped.hpp"
 
 namespace mmn {
 
-class P2pMstProcess final : public SteppedProcess {
+class P2pMstProcess final : public SteppedProcess, public GhsFragment {
  public:
   explicit P2pMstProcess(const sim::LocalView& view);
 
   /// MST edges this node is an endpoint of (its final tree parent edge);
   /// the union over nodes is the MST edge set.  Valid once finished.
   std::vector<EdgeId> mst_edges() const;
-
-  NodeId fragment() const { return core_; }
 
  protected:
   std::uint64_t num_steps() const override;
@@ -43,36 +47,8 @@ class P2pMstProcess final : public SteppedProcess {
     return static_cast<Sub>(step % 5);
   }
 
-  bool is_core() const { return parent_ == view_.self; }
-  void probe_next_link(sim::NodeContext& ctx);
-  void maybe_send_report(sim::NodeContext& ctx);
-  void remove_child(EdgeId edge);
-  void mark_internal(EdgeId edge);
-
-  const sim::LocalView& view_;
   int phases_;
   std::uint64_t stage_len_;
-
-  NodeId core_;
-  NodeId parent_;
-  EdgeId parent_edge_ = kNoEdge;
-  std::vector<EdgeId> children_;
-  std::vector<bool> link_internal_;
-
-  // Per-phase MWOE state (same structure as the partition's).
-  std::size_t probe_index_ = 0;
-  bool probe_resolved_ = false;
-  Weight cand_weight_ = 0;
-  EdgeId cand_edge_ = kNoEdge;
-  std::uint32_t report_pending_ = 0;
-  Weight best_weight_ = 0;
-  EdgeId best_child_edge_ = kNoEdge;
-  bool report_sent_ = false;
-  bool have_mwoe_ = false;
-
-  EdgeId gate_edge_ = kNoEdge;
-  std::vector<std::pair<EdgeId, NodeId>> pending_connects_;
-  bool is_f_root_ = false;
 };
 
 }  // namespace mmn

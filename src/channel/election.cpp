@@ -5,29 +5,25 @@
 
 namespace mmn {
 
-ChannelElection::ChannelElection(std::uint64_t id_bound,
-                                 std::uint64_t candidate_id)
-    : candidate_id_(candidate_id), in_race_(candidate_id != kNoCandidate) {
+ChannelElection::ChannelElection(std::uint64_t id_bound) {
   MMN_REQUIRE(id_bound >= 1, "id space must be non-empty");
-  MMN_REQUIRE(candidate_id == kNoCandidate || candidate_id < id_bound,
-              "candidate id outside the id space");
   total_bits_ = id_bound == 1 ? 1 : ilog2_ceil(id_bound);
   bit_ = total_bits_ - 1;
 }
 
-bool ChannelElection::should_transmit() const {
-  if (done() || !in_race_) return false;
-  return ((candidate_id_ >> bit_) & 1) == 1;
+bool ChannelElection::station_transmits(std::uint64_t id) const {
+  if (done()) return false;
+  // Two shifts: bit_ + 1 reaches 64 for a 64-bit id space.
+  const std::uint64_t above = ~std::uint64_t{0} << bit_ << 1;
+  return (id & above) == leader_bits_ && ((id >> bit_) & 1) == 1;
 }
 
 void ChannelElection::observe(const sim::SlotObservation& obs) {
   MMN_REQUIRE(!done(), "observe after election completed");
-  const bool busy = !obs.idle();
-  if (busy) {
+  if (!obs.idle()) {
+    // Some candidate in the race has a 1 here; those with a 0 drop out.
     any_candidate_ = true;
     leader_bits_ |= (std::uint64_t{1} << bit_);
-    // Candidates whose current bit is 0 lose to any candidate that has a 1.
-    if (in_race_ && ((candidate_id_ >> bit_) & 1) == 0) in_race_ = false;
   }
   --bit_;
 }
@@ -35,11 +31,6 @@ void ChannelElection::observe(const sim::SlotObservation& obs) {
 std::uint64_t ChannelElection::leader() const {
   MMN_REQUIRE(done(), "election still in progress");
   return leader_bits_;
-}
-
-bool ChannelElection::won() const {
-  MMN_REQUIRE(done(), "election still in progress");
-  return in_race_ && any_candidate_ && candidate_id_ == leader_bits_;
 }
 
 }  // namespace mmn

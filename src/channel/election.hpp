@@ -7,6 +7,11 @@
 // round per bit, exactly one candidate — the one with the maximum id —
 // remains.  Every node (candidate or not) reconstructs the winner's id from
 // the slot states alone: bit b of the leader is 1 iff round b was non-idle.
+//
+// The election state is a pure function of the shared slot observations, so
+// one listener copy answers for every candidate (station_transmits), as
+// CapetanakisResolver does: a candidate is still in the race exactly when
+// its bits above the probed one equal the leader prefix decoded so far.
 #pragma once
 
 #include <cstdint>
@@ -17,13 +22,12 @@ namespace mmn {
 
 class ChannelElection {
  public:
-  /// id_bound: ids lie in [0, id_bound).  candidate_id: this node's id if it
-  /// runs for leadership, or kNoCandidate for a pure listener.
-  static constexpr std::uint64_t kNoCandidate = static_cast<std::uint64_t>(-1);
+  /// id_bound: candidate ids lie in [0, id_bound).
+  explicit ChannelElection(std::uint64_t id_bound);
 
-  ChannelElection(std::uint64_t id_bound, std::uint64_t candidate_id);
-
-  bool should_transmit() const;
+  /// Whether candidate `id` transmits in the upcoming slot: its bits above
+  /// the probed bit equal the leader prefix, and its probed bit is 1.
+  bool station_transmits(std::uint64_t id) const;
 
   void observe(const sim::SlotObservation& obs);
 
@@ -36,19 +40,14 @@ class ChannelElection {
   /// True if at least one non-idle slot was observed (some candidate exists).
   bool any_candidate() const { return any_candidate_; }
 
-  /// True if this node won the election; valid once done().
-  bool won() const;
-
   /// Total rounds the election takes (same for every node).
   int total_rounds() const { return total_bits_; }
 
  private:
-  std::uint64_t candidate_id_;
-  bool in_race_;
   bool any_candidate_ = false;
   int total_bits_;
   int bit_;  // bit probed in the upcoming slot; -1 when done
-  std::uint64_t leader_bits_ = 0;
+  std::uint64_t leader_bits_ = 0;  ///< the bits above bit_ decoded so far
 };
 
 }  // namespace mmn

@@ -19,18 +19,16 @@ double RandomizedElection::probability() const {
   return 0.0;
 }
 
-bool RandomizedElection::should_transmit(Rng& rng) {
+bool RandomizedElection::station_transmits(Rng& rng) const {
   MMN_REQUIRE(!done_, "election already decided");
-  return candidate_ && rng.next_bernoulli(probability());
+  return rng.next_bernoulli(probability());
 }
 
-void RandomizedElection::observe(const sim::SlotObservation& obs,
-                                 bool success_was_mine) {
+void RandomizedElection::observe(const sim::SlotObservation& obs) {
   MMN_REQUIRE(!done_, "observe after election decided");
   ++slots_;
   if (obs.success()) {
     done_ = true;
-    i_won_ = success_was_mine;
     winner_ = obs.payload;
     return;
   }
@@ -71,11 +69,6 @@ void RandomizedElection::observe(const sim::SlotObservation& obs,
       }
       break;
   }
-}
-
-bool RandomizedElection::won() const {
-  MMN_REQUIRE(done_, "election still in progress");
-  return i_won_;
 }
 
 const sim::Packet& RandomizedElection::winner_payload() const {

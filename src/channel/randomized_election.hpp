@@ -15,8 +15,9 @@
 //      success; the successful transmitter is the leader (O(1) expected).
 //
 // Any success in phases 1–2 also ends the election immediately.  All state
-// is a function of the shared slot outcomes, so every node (candidate or
-// listener) agrees on the winner and on the termination slot.
+// is a function of the shared slot outcomes, so one listener copy serves
+// every candidate (station_transmits draws from the candidate's own RNG),
+// and every node agrees on the winner and on the termination slot.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +29,17 @@ namespace mmn {
 
 class RandomizedElection {
  public:
-  /// candidate: whether this node runs for leadership.  Anonymous nodes are
-  /// fine — the winner is identified by the payload it transmits.
-  explicit RandomizedElection(bool candidate) : candidate_(candidate) {}
+  /// Whether a candidate transmits in the upcoming slot; one draw from its
+  /// own `rng`, so call it exactly once per candidate per slot.
+  bool station_transmits(Rng& rng) const;
 
-  /// Decides transmission for the upcoming slot; call exactly once per slot.
-  bool should_transmit(Rng& rng);
-
-  /// Feeds the shared outcome of the slot.  `success_was_mine` — this node
-  /// observed its own transmission succeed.
-  void observe(const sim::SlotObservation& obs, bool success_was_mine);
+  /// Feeds the shared outcome of the slot.
+  void observe(const sim::SlotObservation& obs);
 
   bool done() const { return done_; }
 
-  /// True if this node won; valid once done().
-  bool won() const;
-
   /// The winning slot's payload (the leader's announcement); valid once
-  /// done().
+  /// done().  Anonymous candidates are fine: the payload names the winner.
   const sim::Packet& winner_payload() const;
 
   /// Slots consumed so far.
@@ -56,9 +50,7 @@ class RandomizedElection {
 
   double probability() const;
 
-  bool candidate_;
   bool done_ = false;
-  bool i_won_ = false;
   Phase phase_ = Phase::kDescent;
   int descent_j_ = 0;  // probing probability 2^-2^j
   int lo_ = 0;         // bisection bracket on the exponent k

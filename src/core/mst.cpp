@@ -194,7 +194,13 @@ class MstProcess::ComputeStage final : public SteppedProcess {
                "own fragment missing in schedule");
     init_index_ = it - cores.begin();
     current_ = std::make_unique<Dsu>(cores.size());
-    if (k_ == 1) final_steps_ = 1;  // the partition already spans the graph
+    if (k_ == 1) {
+      final_steps_ = 1;  // the partition already spans the graph
+    } else {
+      // Every TDMA cycle buffers exactly k reports; growing by doubling
+      // would keep up to twice that per node for the whole run.
+      cycle_reports_.reserve(cores.size());
+    }
   }
 
   void begin_local_min(sim::NodeContext& ctx) {

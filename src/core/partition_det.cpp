@@ -1,7 +1,5 @@
 #include "core/partition_det.hpp"
 
-#include <algorithm>
-
 #include "channel/capetanakis.hpp"
 #include "coloring/mis.hpp"
 #include "support/check.hpp"
@@ -10,28 +8,19 @@
 namespace mmn {
 namespace {
 
-// Message types.  Every datum a node acts on arrives in one of these packets
-// (or in a channel slot); there are no oracle shortcuts.
+// Message types.  Every datum a node acts on arrives in one of these packets,
+// in a GhsFragment tree packet (104-109, 111, 118-120; core/ghs_fragment.cpp)
+// or in a channel slot; there are no oracle shortcuts.
 constexpr std::uint16_t kCountReq = 101;    // core -> leaves
 constexpr std::uint16_t kCountResp = 102;   // [size] leaves -> core
 constexpr std::uint16_t kActiveInfo = 103;  // [active, level] core -> leaves
-constexpr std::uint16_t kTest = 104;        // [core] probe a link
-constexpr std::uint16_t kAccept = 105;      // different fragment
-constexpr std::uint16_t kReject = 106;      // same fragment
-constexpr std::uint16_t kReport = 107;      // [weight] convergecast (0 = none)
-constexpr std::uint16_t kConnectDown = 108; // core -> gate along minpath
-constexpr std::uint16_t kConnect = 109;     // [core] across the chosen edge
 constexpr std::uint16_t kFChild = 110;      // border -> core: child attached
-constexpr std::uint16_t kCycleWin = 111;    // border -> core: we root a cycle
 constexpr std::uint16_t kColorDown = 112;      // [color, is_root] in-tree
 constexpr std::uint16_t kParentColor = 113;    // [color, is_root] across entry
 constexpr std::uint16_t kParentColorUp = 114;  // gate -> core relay
 constexpr std::uint16_t kChildDown = 115;      // [color] core -> gate
 constexpr std::uint16_t kChildColor = 116;     // [color] across gate edge
 constexpr std::uint16_t kChildColorUp = 117;   // border -> core relay
-constexpr std::uint16_t kFlip = 118;           // reverse minpath pointers
-constexpr std::uint16_t kJoin = 119;           // child fragment attached here
-constexpr std::uint16_t kNewFragMsg = 120;     // [core] new fragment id flood
 constexpr std::uint16_t kSizeAnnounce = 121;   // [core, size] Section 7.3
 
 }  // namespace
@@ -66,10 +55,7 @@ class PartitionDetProcess::CheckFold final : public sim::PublicFold {
 
 PartitionDetProcess::PartitionDetProcess(const sim::LocalView& view,
                                          PartitionDetConfig config)
-    : view_(view),
-      core_(view.self),
-      parent_(view.self),
-      link_internal_(view.links().size(), false) {
+    : GhsFragment(view) {
   phases_ = config.phases < 0 ? partition_phases(view.n) : config.phases;
   // Levels grow by one per phase until a fragment spans the whole graph at
   // level floor(log2 n); phases beyond that would stall below their level.
@@ -150,29 +136,11 @@ std::uint64_t PartitionDetProcess::computed_size() const {
 
 // --- helpers ---------------------------------------------------------------
 
-void PartitionDetProcess::send_to_children(sim::NodeContext& ctx,
-                                           const sim::Packet& packet) {
-  for (EdgeId e : children_) ctx.send(e, packet);
-}
-
-void PartitionDetProcess::remove_child(EdgeId edge) {
-  const auto it = std::find(children_.begin(), children_.end(), edge);
-  MMN_ASSERT(it != children_.end(), "removing a non-child edge");
-  children_.erase(it);
-}
-
-void PartitionDetProcess::relay_up(sim::NodeContext& ctx,
-                                   const sim::Packet& packet) {
-  MMN_ASSERT(!is_core(), "relay_up called at the core");
-  ctx.send(parent_edge_, packet);
-}
-
 void PartitionDetProcess::forward_down_and_across(sim::NodeContext& ctx,
                                                   sim::Word color,
                                                   sim::Word is_root) {
   send_to_children(ctx, sim::Packet(kColorDown, {color, is_root}));
-  for (const auto& [edge, child_core] : entry_edges_) {
-    (void)child_core;
+  for (EdgeId edge : entry_edges_) {
     ctx.send(edge, sim::Packet(kParentColor, {color, is_root}));
   }
 }
@@ -181,20 +149,19 @@ void PartitionDetProcess::start_color_exchange(sim::NodeContext& ctx,
                                                bool with_child_report) {
   if (!is_core()) return;
   forward_down_and_across(ctx, static_cast<sim::Word>(color_),
-                          is_f_root_ ? 1 : 0);
-  if (with_child_report && !is_f_root_) {
-    send_child_report_toward_gate(ctx);
+                          is_f_root() ? 1 : 0);
+  if (with_child_report && !is_f_root()) {
+    const auto color = static_cast<sim::Word>(color_);
+    send_toward_gate(ctx, sim::Packet(kChildDown, {color}),
+                     sim::Packet(kChildColor, {color}));
   }
 }
 
-void PartitionDetProcess::send_child_report_toward_gate(
-    sim::NodeContext& ctx) {
-  const auto payload = static_cast<sim::Word>(color_);
-  if (best_child_edge_ == kNoEdge) {
-    MMN_ASSERT(gate_edge_ != kNoEdge, "core gate without a gate edge");
-    ctx.send(gate_edge_, sim::Packet(kChildColor, {payload}));
+void PartitionDetProcess::note_f_child(sim::NodeContext& ctx) {
+  if (is_core()) {
+    has_f_children_ = true;
   } else {
-    ctx.send(best_child_edge_, sim::Packet(kChildDown, {payload}));
+    send_to_parent(ctx, sim::Packet(kFChild));
   }
 }
 
@@ -225,18 +192,22 @@ void PartitionDetProcess::step_begin(std::uint64_t step,
       break;
     }
     case Sub::kMwoe:
-      begin_mwoe(ctx);
+      if (active_) begin_mwoe(ctx);
       break;
     case Sub::kConnectSend:
       begin_connect_send(ctx);
       break;
     case Sub::kConnectProc:
-      begin_connect_proc(ctx);
+      // Inactive fragments found no MWOE, so they root F.
+      begin_connect_proc(ctx, [&](EdgeId edge) {
+        entry_edges_.push_back(edge);
+        note_f_child(ctx);
+      });
       break;
     case Sub::kCv:
       if (is_core()) {
         if (ref.index == 0) {
-          color_ = core_;  // distinct ids seed the coloring
+          color_ = fragment_id();  // distinct ids seed the coloring
         } else {
           apply_pending_color(locate(step - 1));
         }
@@ -274,7 +245,7 @@ void PartitionDetProcess::step_begin(std::uint64_t step,
 void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
   switch (prev.sub) {
     case Sub::kCv:
-      if (is_f_root_) {
+      if (is_f_root()) {
         color_ = cv_update_root(color_);
       } else {
         MMN_ASSERT(parent_color_valid_, "missing parent color after CV step");
@@ -283,7 +254,7 @@ void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
       break;
     case Sub::kShift:
       prev_color_ = color_;
-      if (is_f_root_) {
+      if (is_f_root()) {
         color_ = static_cast<Color>(smallest_free_color(
             static_cast<int>(color_), static_cast<int>(color_)));
       } else {
@@ -295,8 +266,8 @@ void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
       const Color dropped = static_cast<Color>(5 - prev.index);
       if (color_ == dropped) {
         const int parent_c =
-            is_f_root_ ? -1 : static_cast<int>(parent_color_rx_);
-        MMN_ASSERT(is_f_root_ || parent_color_valid_,
+            is_f_root() ? -1 : static_cast<int>(parent_color_rx_);
+        MMN_ASSERT(is_f_root() || parent_color_valid_,
                    "missing parent color in drop");
         const int child_c =
             has_f_children_ ? static_cast<int>(prev_color_) : -1;
@@ -305,7 +276,7 @@ void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
       break;
     }
     case Sub::kRootRed:
-      if (is_f_root_) {
+      if (is_f_root()) {
         color_ = kRed;
       } else {
         MMN_ASSERT(parent_color_valid_, "missing parent color in root-red");
@@ -322,7 +293,7 @@ void PartitionDetProcess::apply_pending_color(const SubRef& prev) {
     case Sub::kMisBlue:
     case Sub::kMisGreen: {
       const Color pass = prev.sub == Sub::kMisBlue ? kBlue : kGreen;
-      const bool parent_red = !is_f_root_ && parent_color_rx_ == kRed;
+      const bool parent_red = !is_f_root() && parent_color_rx_ == kRed;
       if (color_ == pass && !parent_red && !any_red_child_) color_ = kRed;
       break;
     }
@@ -372,123 +343,24 @@ bool PartitionDetProcess::step_dormant(std::uint64_t) const {
 
 void PartitionDetProcess::begin_count(sim::NodeContext& ctx) {
   // Per-phase reset.
+  reset_phase();
   active_ = false;
   count_pending_ = 0;
   subtree_size_ = 1;
-  probe_index_ = 0;
-  probe_resolved_ = false;
-  cand_weight_ = 0;
-  cand_edge_ = kNoEdge;
-  report_pending_ = 0;
-  best_weight_ = 0;
-  best_child_edge_ = kNoEdge;
-  report_sent_ = false;
-  have_mwoe_ = false;
-  gate_edge_ = kNoEdge;
-  pending_connects_.clear();
   entry_edges_.clear();
-  is_f_root_ = false;
   has_f_children_ = false;
   parent_color_valid_ = false;
   any_red_child_ = false;
   red_internal_ = false;
 
   if (!is_core()) return;
-  if (children_.empty()) {
+  if (num_children() == 0) {
     level_ = 0;
     MMN_ASSERT(level_ >= current_phase_, "fragment below its phase level");
     active_ = (level_ == current_phase_);
   } else {
-    count_pending_ = static_cast<std::uint32_t>(children_.size());
+    count_pending_ = num_children();
     send_to_children(ctx, sim::Packet(kCountReq));
-  }
-}
-
-// --- MWOE ---------------------------------------------------------------------
-
-void PartitionDetProcess::begin_mwoe(sim::NodeContext& ctx) {
-  if (!active_) return;
-  report_pending_ = static_cast<std::uint32_t>(children_.size());
-  probe_next_link(ctx);
-  maybe_send_report(ctx);
-}
-
-void PartitionDetProcess::probe_next_link(sim::NodeContext& ctx) {
-  const NeighborRange links = view_.links();
-  while (probe_index_ < links.size()) {
-    if (link_internal_[probe_index_]) {
-      ++probe_index_;
-      continue;
-    }
-    ctx.send(links[probe_index_].edge,
-             sim::Packet(kTest, {static_cast<sim::Word>(core_)}));
-    return;
-  }
-  probe_resolved_ = true;  // no outgoing link from this node
-}
-
-void PartitionDetProcess::maybe_send_report(sim::NodeContext& ctx) {
-  if (!active_ || report_sent_ || !probe_resolved_ || report_pending_ != 0) {
-    return;
-  }
-  if (cand_weight_ != 0 &&
-      (best_weight_ == 0 || cand_weight_ < best_weight_)) {
-    best_weight_ = cand_weight_;
-    best_child_edge_ = kNoEdge;  // the fragment MWOE hangs off this node
-  }
-  report_sent_ = true;
-  if (is_core()) {
-    have_mwoe_ = best_weight_ != 0;
-  } else {
-    relay_up(ctx, sim::Packet(kReport, {static_cast<sim::Word>(best_weight_)}));
-  }
-}
-
-// --- CONNECT -----------------------------------------------------------------
-
-void PartitionDetProcess::begin_connect_send(sim::NodeContext& ctx) {
-  if (!is_core() || !active_ || !have_mwoe_) return;
-  if (best_child_edge_ == kNoEdge) {
-    gate_edge_ = cand_edge_;
-    ctx.send(gate_edge_, sim::Packet(kConnect, {static_cast<sim::Word>(core_)}));
-  } else {
-    ctx.send(best_child_edge_, sim::Packet(kConnectDown));
-  }
-}
-
-void PartitionDetProcess::begin_connect_proc(sim::NodeContext& ctx) {
-  if (is_core() && (!active_ || !have_mwoe_)) {
-    is_f_root_ = true;  // inactive fragments and MWOE-less fragments root F
-  }
-  for (const auto& [edge, child_core] : pending_connects_) {
-    process_connect(ctx, edge, child_core);
-  }
-  pending_connects_.clear();
-}
-
-void PartitionDetProcess::process_connect(sim::NodeContext& ctx, EdgeId edge,
-                                          NodeId child_core) {
-  if (edge == gate_edge_) {
-    // Both fragments chose this edge (the only possible cycle in F).  The
-    // fragment with the higher core id roots the tree and keeps the other as
-    // its child; the lower one keeps its out-edge as a normal F-child.
-    if (core_ > child_core) {
-      entry_edges_.push_back({edge, child_core});
-      if (is_core()) {
-        has_f_children_ = true;
-        is_f_root_ = true;
-      } else {
-        relay_up(ctx, sim::Packet(kFChild));
-        relay_up(ctx, sim::Packet(kCycleWin));
-      }
-    }
-    return;
-  }
-  entry_edges_.push_back({edge, child_core});
-  if (is_core()) {
-    has_f_children_ = true;
-  } else {
-    relay_up(ctx, sim::Packet(kFChild));
   }
 }
 
@@ -498,31 +370,10 @@ void PartitionDetProcess::begin_merge(sim::NodeContext& ctx) {
   if (!is_core()) return;
   apply_pending_color(SubRef{Sub::kMisGreen, current_phase_, 0});
   red_internal_ = color_ == kRed && has_f_children_;
-  const bool keep_out_edge = !is_f_root_ && !red_internal_;
-  if (!keep_out_edge) return;
-  MMN_ASSERT(have_mwoe_, "non-root fragment without an outgoing edge");
-  if (best_child_edge_ == kNoEdge) {
-    // The core itself owns the chosen edge: attach directly.
-    MMN_ASSERT(gate_edge_ != kNoEdge, "gate edge missing at the core");
-    const int idx = view_.link_index(gate_edge_);
-    parent_ = view_.links()[static_cast<std::size_t>(idx)].to;
-    parent_edge_ = gate_edge_;
-    link_internal_[static_cast<std::size_t>(idx)] = true;
-    ctx.send(gate_edge_, sim::Packet(kJoin));
-  } else {
-    const EdgeId down = best_child_edge_;
-    const int idx = view_.link_index(down);
-    parent_ = view_.links()[static_cast<std::size_t>(idx)].to;
-    parent_edge_ = down;
-    remove_child(down);
-    ctx.send(down, sim::Packet(kFlip));
-  }
-}
-
-void PartitionDetProcess::begin_newfrag(sim::NodeContext& ctx) {
-  if (!is_core()) return;
-  MMN_ASSERT(core_ == view_.self, "core id must equal the core's node id");
-  send_to_children(ctx, sim::Packet(kNewFragMsg, {static_cast<sim::Word>(core_)}));
+  // Roots and red internal vertices keep their fragment; the rest attach.
+  if (is_f_root() || red_internal_) return;
+  MMN_ASSERT(have_mwoe(), "non-root fragment without an outgoing edge");
+  attach(ctx);
 }
 
 // --- message handling ------------------------------------------------------------
@@ -533,10 +384,10 @@ void PartitionDetProcess::on_message(std::uint64_t /*step*/,
   const sim::Packet& p = msg.packet();
   switch (p.type()) {
     case kCountReq: {
-      count_pending_ = static_cast<std::uint32_t>(children_.size());
+      count_pending_ = num_children();
       subtree_size_ = 1;
       if (count_pending_ == 0) {
-        relay_up(ctx, sim::Packet(kCountResp, {1}));
+        send_to_parent(ctx, sim::Packet(kCountResp, {1}));
       } else {
         send_to_children(ctx, sim::Packet(kCountReq));
       }
@@ -553,8 +404,8 @@ void PartitionDetProcess::on_message(std::uint64_t /*step*/,
           send_to_children(ctx, sim::Packet(kActiveInfo,
                                             {active_ ? 1 : 0, level_}));
         } else {
-          relay_up(ctx, sim::Packet(kCountResp,
-                                    {static_cast<sim::Word>(subtree_size_)}));
+          const auto size = static_cast<sim::Word>(subtree_size_);
+          send_to_parent(ctx, sim::Packet(kCountResp, {size}));
         }
       }
       break;
@@ -564,70 +415,8 @@ void PartitionDetProcess::on_message(std::uint64_t /*step*/,
       level_ = static_cast<int>(p[1]);
       send_to_children(ctx, sim::Packet(kActiveInfo, {p[0], p[1]}));
       break;
-    case kTest: {
-      const NodeId sender_core = static_cast<NodeId>(p[0]);
-      if (sender_core == core_) {
-        const int idx = view_.link_index(msg.via);
-        link_internal_[static_cast<std::size_t>(idx)] = true;
-        ctx.send(msg.via, sim::Packet(kReject));
-      } else {
-        ctx.send(msg.via, sim::Packet(kAccept));
-      }
-      break;
-    }
-    case kReject: {
-      const int idx = view_.link_index(msg.via);
-      link_internal_[static_cast<std::size_t>(idx)] = true;
-      ++probe_index_;
-      probe_next_link(ctx);
-      maybe_send_report(ctx);
-      break;
-    }
-    case kAccept: {
-      probe_resolved_ = true;
-      cand_edge_ = msg.via;
-      const int idx = view_.link_index(msg.via);
-      cand_weight_ = view_.links()[static_cast<std::size_t>(idx)].weight;
-      maybe_send_report(ctx);
-      break;
-    }
-    case kReport: {
-      const Weight w = static_cast<Weight>(p[0]);
-      if (w != 0 && (best_weight_ == 0 || w < best_weight_)) {
-        best_weight_ = w;
-        best_child_edge_ = msg.via;
-      }
-      MMN_ASSERT(report_pending_ > 0, "unexpected MWOE report");
-      --report_pending_;
-      maybe_send_report(ctx);
-      break;
-    }
-    case kConnectDown:
-      if (best_child_edge_ == kNoEdge) {
-        MMN_ASSERT(cand_edge_ != kNoEdge, "gate without a candidate edge");
-        gate_edge_ = cand_edge_;
-        ctx.send(gate_edge_,
-                 sim::Packet(kConnect, {static_cast<sim::Word>(core_)}));
-      } else {
-        ctx.send(best_child_edge_, sim::Packet(kConnectDown));
-      }
-      break;
-    case kConnect:
-      pending_connects_.push_back({msg.via, static_cast<NodeId>(p[0])});
-      break;
     case kFChild:
-      if (is_core()) {
-        has_f_children_ = true;
-      } else {
-        relay_up(ctx, sim::Packet(kFChild));
-      }
-      break;
-    case kCycleWin:
-      if (is_core()) {
-        is_f_root_ = true;
-      } else {
-        relay_up(ctx, sim::Packet(kCycleWin));
-      }
+      note_f_child(ctx);
       break;
     case kColorDown:
       forward_down_and_across(ctx, p[0], p[1]);
@@ -639,56 +428,23 @@ void PartitionDetProcess::on_message(std::uint64_t /*step*/,
         parent_is_root_rx_ = p[1] != 0;
         parent_color_valid_ = true;
       } else {
-        relay_up(ctx, sim::Packet(kParentColorUp, {p[0], p[1]}));
+        send_to_parent(ctx, sim::Packet(kParentColorUp, {p[0], p[1]}));
       }
       break;
     case kChildDown:
-      if (best_child_edge_ == kNoEdge) {
-        MMN_ASSERT(gate_edge_ != kNoEdge, "gate without a gate edge");
-        ctx.send(gate_edge_, sim::Packet(kChildColor, {p[0]}));
-      } else {
-        ctx.send(best_child_edge_, sim::Packet(kChildDown, {p[0]}));
-      }
+      send_toward_gate(ctx, sim::Packet(kChildDown, {p[0]}),
+                       sim::Packet(kChildColor, {p[0]}));
       break;
     case kChildColor:
     case kChildColorUp:
       if (is_core()) {
         any_red_child_ = any_red_child_ || static_cast<Color>(p[0]) == kRed;
       } else {
-        relay_up(ctx, sim::Packet(kChildColorUp, {p[0]}));
+        send_to_parent(ctx, sim::Packet(kChildColorUp, {p[0]}));
       }
-      break;
-    case kFlip: {
-      children_.push_back(msg.via);  // the old parent becomes a child
-      if (best_child_edge_ == kNoEdge) {
-        MMN_ASSERT(gate_edge_ != kNoEdge, "flip reached a non-gate endpoint");
-        const int idx = view_.link_index(gate_edge_);
-        parent_ = view_.links()[static_cast<std::size_t>(idx)].to;
-        parent_edge_ = gate_edge_;
-        link_internal_[static_cast<std::size_t>(idx)] = true;
-        ctx.send(gate_edge_, sim::Packet(kJoin));
-      } else {
-        const EdgeId down = best_child_edge_;
-        const int idx = view_.link_index(down);
-        parent_ = view_.links()[static_cast<std::size_t>(idx)].to;
-        parent_edge_ = down;
-        remove_child(down);
-        ctx.send(down, sim::Packet(kFlip));
-      }
-      break;
-    }
-    case kJoin: {
-      children_.push_back(msg.via);
-      const int idx = view_.link_index(msg.via);
-      link_internal_[static_cast<std::size_t>(idx)] = true;
-      break;
-    }
-    case kNewFragMsg:
-      core_ = static_cast<NodeId>(p[0]);
-      send_to_children(ctx, sim::Packet(kNewFragMsg, {p[0]}));
       break;
     default:
-      MMN_ASSERT(false, "unexpected packet type in partition");
+      on_tree_message(msg, ctx);
   }
 }
 

@@ -43,6 +43,11 @@
 // Phase lengths are not precomputed: each step ends at the first idle
 // channel slot (Section 7's synchronizer used as a termination detector), so
 // the measured time automatically includes synchronization costs.
+//
+// The tree moves of steps 2, 3 and 5 are GhsFragment's
+// (core/ghs_fragment.hpp), shared with the point-to-point MST baseline; this
+// class keeps the step schedule, COUNT and the levels, the coloring over F
+// and the F-child relays.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +55,7 @@
 #include <vector>
 
 #include "coloring/cole_vishkin.hpp"
-#include "core/partition.hpp"
+#include "core/ghs_fragment.hpp"
 #include "core/stepped.hpp"
 
 namespace mmn {
@@ -70,14 +75,11 @@ struct PartitionDetConfig {
   bool with_size_check = false;
 };
 
-class PartitionDetProcess final : public SteppedProcess, public FragmentState {
+/// Drives the GhsFragment steps over channel barriers; the fragment tree is
+/// the FragmentState (valid once finished).
+class PartitionDetProcess final : public SteppedProcess, public GhsFragment {
  public:
   PartitionDetProcess(const sim::LocalView& view, PartitionDetConfig config);
-
-  // FragmentState (valid once finished):
-  NodeId tree_parent() const override { return parent_; }
-  EdgeId tree_parent_edge() const override { return parent_edge_; }
-  NodeId fragment_id() const override { return core_; }
 
   /// The network size computed by the Section 7.3 size check; valid once
   /// finished with with_size_check set.
@@ -127,42 +129,23 @@ class PartitionDetProcess final : public SteppedProcess, public FragmentState {
   }
   SubRef locate(std::uint64_t step) const;
 
-  bool is_core() const { return parent_ == view_.self; }
-
   // --- messaging helpers --------------------------------------------------
-  void send_to_children(sim::NodeContext& ctx, const sim::Packet& packet);
   void forward_down_and_across(sim::NodeContext& ctx, sim::Word color,
                                sim::Word is_root);
   void start_color_exchange(sim::NodeContext& ctx, bool with_child_report);
-  void send_child_report_toward_gate(sim::NodeContext& ctx);
-  void relay_up(sim::NodeContext& ctx, const sim::Packet& packet);
-  void remove_child(EdgeId edge);
+  /// An F-child attached at this node: tell the core.
+  void note_f_child(sim::NodeContext& ctx);
 
   // --- per-step actions -----------------------------------------------------
   void begin_count(sim::NodeContext& ctx);
-  void begin_mwoe(sim::NodeContext& ctx);
-  void begin_connect_send(sim::NodeContext& ctx);
-  void begin_connect_proc(sim::NodeContext& ctx);
-  void process_connect(sim::NodeContext& ctx, EdgeId edge, NodeId child_core);
   void begin_merge(sim::NodeContext& ctx);
-  void begin_newfrag(sim::NodeContext& ctx);
   void apply_pending_color(const SubRef& prev);
-  void probe_next_link(sim::NodeContext& ctx);
-  void maybe_send_report(sim::NodeContext& ctx);
 
   // --- static configuration ------------------------------------------------
-  const sim::LocalView& view_;
   int phases_;
   int bits_;  ///< id width for Cole–Vishkin
   int tcv_;   ///< Cole–Vishkin iterations per phase
   bool with_size_check_ = false;
-
-  // --- permanent tree state -------------------------------------------------
-  NodeId core_;
-  NodeId parent_;
-  EdgeId parent_edge_ = kNoEdge;
-  std::vector<EdgeId> children_;
-  std::vector<bool> link_internal_;  ///< per link index; persists over phases
 
   // --- per-phase state --------------------------------------------------------
   int level_ = 0;
@@ -173,23 +156,9 @@ class PartitionDetProcess final : public SteppedProcess, public FragmentState {
   std::uint32_t count_pending_ = 0;
   std::uint64_t subtree_size_ = 0;
 
-  // MWOE probe + convergecast
-  std::size_t probe_index_ = 0;
-  bool probe_resolved_ = false;
-  Weight cand_weight_ = 0;  ///< 0 = no candidate
-  EdgeId cand_edge_ = kNoEdge;
-  std::uint32_t report_pending_ = 0;
-  Weight best_weight_ = 0;
-  EdgeId best_child_edge_ = kNoEdge;  ///< minpath pointer; kNoEdge = own link
-  bool report_sent_ = false;
-  bool have_mwoe_ = false;  ///< at the core: the fragment found an MWOE
-
-  // CONNECT / fragment graph
-  EdgeId gate_edge_ = kNoEdge;  ///< set on the node that crosses the MWOE
-  std::vector<std::pair<EdgeId, NodeId>> pending_connects_;
-  /// F-children attach points at this (border) node: entry edge + child core.
-  std::vector<std::pair<EdgeId, NodeId>> entry_edges_;
-  bool is_f_root_ = false;
+  // Fragment graph F: the entry edges of the F-children attached at this
+  // (border) node.
+  std::vector<EdgeId> entry_edges_;
   bool has_f_children_ = false;  ///< meaningful at the core
 
   // Coloring (state lives at the core)

@@ -1,13 +1,14 @@
 // Tests for the channel-protocol toolbox: Capetanakis tree resolution,
-// deterministic election, randomized (pseudo-Bayesian) scheduling, TDMA and
-// the Greenberg–Ladner size estimator.
+// deterministic election, randomized (pseudo-Bayesian) scheduling and the
+// Greenberg–Ladner size estimator.
 //
 // Protocols are driven against a real Channel: each slot, every station
 // decides, the slot resolves, and every station observes the same outcome.
-// The two resolvers are listeners: a pending station decides through the
-// one listener copy (Capetanakis probe membership, or the pseudo-Bayesian
-// draw from the station's own RNG) and keeps only its pending bit, exactly
-// as the engine's public folds drive them inside processes.
+// The resolvers and the election are listeners: a station decides through
+// the one listener copy (Capetanakis probe membership, the election's
+// leader prefix, or the pseudo-Bayesian draw from the station's own RNG)
+// and keeps only its pending bit, exactly as the engine's public folds
+// drive them inside processes.
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -19,7 +20,6 @@
 #include "channel/election.hpp"
 #include "channel/pseudo_bayesian.hpp"
 #include "channel/size_estimator.hpp"
-#include "channel/tdma.hpp"
 #include "sim/channel.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -192,38 +192,31 @@ class ElectionTest : public ::testing::TestWithParam<ElectionCase> {};
 TEST_P(ElectionTest, MaxIdWinsAndListenersDecodeIt) {
   const auto& c = GetParam();
   const auto ids = pick_ids(c.n, c.k, c.seed);
-  std::vector<ChannelElection> stations;
-  for (std::uint64_t id : ids) stations.emplace_back(c.n, id);
-  ChannelElection listener(c.n, ChannelElection::kNoCandidate);
+  const std::uint64_t expected = *std::max_element(ids.begin(), ids.end());
+  ChannelElection listener(c.n);
 
   Channel channel;
   Metrics metrics;
   int slots = 0;
   while (!listener.done()) {
-    for (std::size_t s = 0; s < stations.size(); ++s) {
-      if (stations[s].should_transmit()) {
-        channel.write(static_cast<NodeId>(ids[s]), Packet(1));
+    for (std::uint64_t id : ids) {
+      if (listener.station_transmits(id)) {
+        channel.write(static_cast<NodeId>(id), Packet(1));
       }
     }
-    const SlotObservation obs = channel.resolve(metrics);
-    for (auto& st : stations) st.observe(obs);
-    listener.observe(obs);
+    // The leader stays in the race to the last bit: it transmits exactly
+    // when its own bit is 1.
+    const int bit = listener.total_rounds() - 1 - slots;
+    EXPECT_EQ(listener.station_transmits(expected),
+              ((expected >> bit) & 1) == 1);
+    listener.observe(channel.resolve(metrics));
     ++slots;
   }
-  const std::uint64_t expected = *std::max_element(ids.begin(), ids.end());
   EXPECT_EQ(listener.leader(), expected);
   EXPECT_TRUE(listener.any_candidate());
   EXPECT_EQ(slots, listener.total_rounds());
   EXPECT_EQ(slots, c.n == 1 ? 1 : ilog2_ceil(c.n));
-  int winners = 0;
-  for (std::size_t s = 0; s < stations.size(); ++s) {
-    EXPECT_EQ(stations[s].leader(), expected);
-    if (stations[s].won()) {
-      ++winners;
-      EXPECT_EQ(ids[s], expected);
-    }
-  }
-  EXPECT_EQ(winners, 1);
+  EXPECT_FALSE(listener.station_transmits(expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -232,8 +225,16 @@ INSTANTIATE_TEST_SUITE_P(
                       ElectionCase{64, 5, 3}, ElectionCase{256, 100, 4},
                       ElectionCase{1024, 7, 5}, ElectionCase{1 << 16, 50, 6}));
 
+TEST(Election, SixtyFourBitIdSpace) {
+  // Probing bit 63 compares no prefix bits; the shift must not overflow.
+  ChannelElection listener(std::uint64_t{1} << 63 | 1);
+  EXPECT_EQ(listener.total_rounds(), 64);
+  EXPECT_TRUE(listener.station_transmits(std::uint64_t{1} << 63));
+  EXPECT_FALSE(listener.station_transmits(5));
+}
+
 TEST(Election, NoCandidates) {
-  ChannelElection listener(16, ChannelElection::kNoCandidate);
+  ChannelElection listener(16);
   Channel channel;
   Metrics metrics;
   while (!listener.done()) {
@@ -319,22 +320,6 @@ TEST(RandomizedScheduler, RobustToBadInitialEstimate) {
   // Pessimistic and optimistic initial backlogs must still converge.
   EXPECT_EQ(run_randomized(20, 1.0, 7).scheduled, 20u);
   EXPECT_EQ(run_randomized(3, 500.0, 8).scheduled, 3u);
-}
-
-// --- TDMA ----------------------------------------------------------------
-
-TEST(Tdma, OwnerCycles) {
-  const TdmaSchedule tdma(4);
-  EXPECT_EQ(tdma.owner(0), 0u);
-  EXPECT_EQ(tdma.owner(3), 3u);
-  EXPECT_EQ(tdma.owner(4), 0u);
-  EXPECT_TRUE(tdma.my_slot(6, 2));
-  EXPECT_FALSE(tdma.my_slot(6, 3));
-  EXPECT_EQ(tdma.cycle_length(), 4u);
-}
-
-TEST(Tdma, RejectsZeroStations) {
-  EXPECT_THROW(TdmaSchedule(0), std::invalid_argument);
 }
 
 // --- Size estimator --------------------------------------------------------

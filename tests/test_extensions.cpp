@@ -22,59 +22,45 @@ namespace {
 struct ElectionRun {
   std::uint64_t slots = 0;
   std::uint64_t winner_id = 0;
-  int winners = 0;
 };
 
 ElectionRun run_election(std::size_t k, std::uint64_t seed) {
   Rng root(seed);
-  std::vector<RandomizedElection> stations;
   std::vector<Rng> rngs;
-  for (std::size_t s = 0; s < k; ++s) {
-    stations.emplace_back(true);
-    rngs.push_back(root.fork(s));
-  }
-  RandomizedElection listener(false);
-  Rng lrng = root.fork(k + 99);
+  for (std::size_t s = 0; s < k; ++s) rngs.push_back(root.fork(s));
+  RandomizedElection listener;
 
   sim::Channel channel;
   Metrics metrics;
   ElectionRun run;
+  sim::SlotObservation obs;
   while (!listener.done()) {
     for (std::size_t s = 0; s < k; ++s) {
-      if (stations[s].should_transmit(rngs[s])) {
+      if (listener.station_transmits(rngs[s])) {
         channel.write(static_cast<NodeId>(s),
                       sim::Packet(1, {static_cast<sim::Word>(s)}));
       }
     }
-    EXPECT_FALSE(listener.should_transmit(lrng));
-    const sim::SlotObservation obs = channel.resolve(metrics);
-    for (std::size_t s = 0; s < k; ++s) {
-      stations[s].observe(obs, obs.success() && obs.writer == s);
-    }
-    listener.observe(obs, false);
+    obs = channel.resolve(metrics);
+    listener.observe(obs);
     ++run.slots;
     if (run.slots > 100000) {
       ADD_FAILURE() << "election not converging";
-      break;
+      return run;
     }
   }
+  // The election ends on its first success, whose writer is the winner.
+  EXPECT_TRUE(obs.success());
   run.winner_id = static_cast<std::uint64_t>(listener.winner_payload()[0]);
-  for (std::size_t s = 0; s < k; ++s) {
-    EXPECT_TRUE(stations[s].done());
-    if (stations[s].won()) {
-      ++run.winners;
-      EXPECT_EQ(run.winner_id, s);
-    }
-  }
+  EXPECT_EQ(run.winner_id, obs.writer);
   return run;
 }
 
-TEST(RandomizedElection, ExactlyOneWinnerAllAgree) {
+TEST(RandomizedElection, TheWinnerIsTheSuccessfulCandidate) {
   for (std::size_t k : {1u, 2u, 7u, 50u, 500u, 4000u}) {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       const ElectionRun run = run_election(k, seed * 77 + k);
-      EXPECT_EQ(run.winners, 1) << "k=" << k << " seed=" << seed;
-      EXPECT_LT(run.winner_id, k);
+      EXPECT_LT(run.winner_id, k) << "k=" << k << " seed=" << seed;
     }
   }
 }
@@ -92,9 +78,13 @@ TEST(RandomizedElection, SlotCountGrowsDoublyLogarithmically) {
 }
 
 TEST(RandomizedElection, AccessorsRequireCompletion) {
-  RandomizedElection e(true);
-  EXPECT_THROW(e.won(), std::invalid_argument);
+  RandomizedElection e;
   EXPECT_THROW(e.winner_payload(), std::invalid_argument);
+  sim::SlotObservation success;
+  success.state = sim::SlotState::kSuccess;
+  e.observe(success);
+  Rng rng(1);
+  EXPECT_THROW(e.station_transmits(rng), std::invalid_argument);
 }
 
 // --- anonymous partition ----------------------------------------------------
